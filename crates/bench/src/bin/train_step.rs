@@ -1,13 +1,19 @@
 //! Training-step throughput exhibit: the whole-step dividend of the
 //! persistent worker pool, the SIMD micro-kernel, and autograd tape reuse.
 //!
-//! Two step workloads, both the compositions the search actually runs:
+//! Three step workloads, all compositions the system actually runs:
 //!
 //! * **mlp step** — one Adam step of the 154→128→64→1 metric predictor on a
-//!   256-row batch (the predictor-fitting loop);
+//!   512-row batch of dense inputs;
 //! * **supernet step** — one SGD step of a single-path micro-supernet
 //!   forward/backward with softmax cross-entropy (the weight phase of the
-//!   bi-level search).
+//!   bi-level search);
+//! * **predictor fit step** — the predictor-fitting loop's own step: the
+//!   same network on 256 one-hot `ᾱ` encodings (paper Eq. 4), with the
+//!   batch built in the tape's pooled storage as `MlpPredictor::train`
+//!   does. Its first layer takes the zero-skipping GEMM path, and backward
+//!   computes no gradient for the input batch; the exhibit also reports its
+//!   forward / backward / optimizer split, to show where a step's time goes.
 //!
 //! The *baseline* column replays the pre-change regime: the portable scalar
 //! micro-kernel and a freshly allocated `Graph`/`Bindings` per step, at one
@@ -32,8 +38,10 @@
 //! The table lands in `results/train_step.txt`, the raw numbers in
 //! `BENCH_train_step.json` at the repo root. Timing is machine-dependent;
 //! the JSON is evidence from the machine that produced it, not a golden
-//! file. Acceptance bars asserted here: ≥ 1.7× step throughput at one
-//! thread on every workload (2× when the seed numbers were recorded; the
+//! file. Acceptance bars asserted here (on the mlp and supernet rows; the
+//! predictor fit row is evidence, its bit identity gated like the others):
+//! ≥ 1.7× step throughput at one thread on every workload (2× when the
+//! seed numbers were recorded; the
 //! unmodified seed tree measures 1.94× on slower hardware windows, so the
 //! bar carries margin for machine drift rather than code drift), 4-thread/serial parity ≥ 0.90 on the supernet
 //! step, and the headline two-tier bar — fast-tier 4-thread throughput
@@ -59,6 +67,7 @@ use lightnas_nn::data::NUM_CLASSES;
 use lightnas_nn::layers::Mlp;
 use lightnas_nn::optim::{Adam, Sgd};
 use lightnas_nn::{Bindings, ParamStore};
+use lightnas_space::{Architecture, SearchSpace};
 use lightnas_tensor::{kernels, set_kernel_mode, Graph, KernelMode, Tensor};
 
 const INPUT_WIDTH: usize = 154;
@@ -208,6 +217,110 @@ impl Workload for SupernetStep {
     }
 }
 
+/// One-hot rows in a predictor-fitting batch (`TrainConfig::default`).
+const FIT_BATCH: usize = 256;
+
+struct FitStep {
+    store: ParamStore,
+    mlp: Mlp,
+    opt: Adam,
+    /// `FIT_BATCH` one-hot encodings of random architectures, row-major.
+    encodings: Vec<f32>,
+    targets: Vec<f32>,
+}
+
+impl FitStep {
+    fn new() -> Self {
+        let space = SearchSpace::standard();
+        let encodings = (0..FIT_BATCH as u64)
+            .flat_map(|seed| Architecture::random(&space, 70 + seed).encode())
+            .collect();
+        let mut store = ParamStore::new();
+        let mlp = Mlp::new(&mut store, "predictor", &[INPUT_WIDTH, 128, 64, 1], 7);
+        Self {
+            store,
+            mlp,
+            opt: Adam::new(1e-3, 1e-5),
+            encodings,
+            targets: Tensor::uniform(&[FIT_BATCH, 1], -1.0, 1.0, 71).into_vec(),
+        }
+    }
+
+    /// One step, as `MlpPredictor::train` runs it, returning the seconds
+    /// spent in forward (batch build included), backward and optimizer.
+    fn timed_step(&mut self, g: &mut Graph, b: &mut Bindings) -> [f64; 3] {
+        let t0 = Instant::now();
+        let x = g.pooled_tensor(&[FIT_BATCH, INPUT_WIDTH], |buf| {
+            buf.extend_from_slice(&self.encodings)
+        });
+        let y = g.pooled_tensor(&[FIT_BATCH, 1], |buf| buf.extend_from_slice(&self.targets));
+        let xv = g.input(x);
+        let pred = self.mlp.forward(g, b, &self.store, xv);
+        let loss = g.mse_loss(pred, y);
+        let t1 = Instant::now();
+        g.backward(loss);
+        let t2 = Instant::now();
+        self.opt.step(&mut self.store, g, b);
+        let t3 = Instant::now();
+        [t1 - t0, t2 - t1, t3 - t2].map(|d| d.as_secs_f64())
+    }
+}
+
+impl Workload for FitStep {
+    fn name(&self) -> &'static str {
+        "predictor fit step (one-hot encodings, batch 256)"
+    }
+
+    fn reset_state(&mut self) {
+        let mut store = ParamStore::new();
+        self.mlp = Mlp::new(&mut store, "predictor", &[INPUT_WIDTH, 128, 64, 1], 7);
+        self.store = store;
+        self.opt = Adam::new(1e-3, 1e-5);
+    }
+
+    fn step(&mut self, g: &mut Graph, b: &mut Bindings) {
+        self.timed_step(g, b);
+    }
+
+    fn weights_hash(&self) -> u64 {
+        store_hash(&self.store)
+    }
+
+    fn weights(&self) -> Vec<f32> {
+        store_weights(&self.store)
+    }
+}
+
+/// Forward / backward / optimizer µs per predictor fit step: strict tier,
+/// SIMD, one thread, one reset-reused tape; per phase the minimum over
+/// `reps` passes of `steps` steps.
+fn fit_split_us(w: &mut FitStep, steps: usize, reps: usize) -> [f64; 3] {
+    set_kernel_mode(KernelMode::Strict);
+    lightnas_tensor::set_simd_enabled(true);
+    kernels::set_num_threads(1);
+    let mut best = [f64::INFINITY; 3];
+    for round in 0..=reps {
+        w.reset_state();
+        let (mut g, mut b) = (Graph::new(), Bindings::new());
+        let mut sum = [0.0f64; 3];
+        for _ in 0..steps {
+            g.reset();
+            b.clear();
+            let phases = w.timed_step(&mut g, &mut b);
+            for (s, p) in sum.iter_mut().zip(phases) {
+                *s += p;
+            }
+        }
+        // round 0 is warm-up only, as in `bench_workload`.
+        if round > 0 {
+            for (b, s) in best.iter_mut().zip(sum) {
+                *b = b.min(s * 1e6 / steps as f64);
+            }
+        }
+    }
+    best
+}
+
 /// Runs `steps` optimization steps in the baseline regime: a fresh tape per
 /// step, exactly like the pre-change training loops.
 fn run_fresh(w: &mut dyn Workload, steps: usize) {
@@ -247,6 +360,8 @@ struct Row {
     baseline_sps: f64,
     fast_sps: [f64; 3],     // strict tier: 1, 2, 4 threads
     fastmode_sps: [f64; 2], // fast tier: 1, 4 threads
+    /// Forward / backward / optimizer µs per step, where measured.
+    split_us: Option<[f64; 3]>,
 }
 
 impl Row {
@@ -394,6 +509,7 @@ fn bench_workload(w: &mut dyn Workload, steps: usize, reps: usize) -> Row {
         baseline_sps: 1e6 / best_us[0],
         fast_sps: [1e6 / best_us[1], 1e6 / best_us[2], 1e6 / best_us[3]],
         fastmode_sps: [1e6 / best_us[4], 1e6 / best_us[5]],
+        split_us: None,
     }
 }
 
@@ -401,10 +517,15 @@ fn main() -> ExitCode {
     let (steps, reps) = (6, 9);
     let mut mlp = MlpStep::new();
     let mut supernet = SupernetStep::new();
-    let rows = [
+    let mut fit = FitStep::new();
+    let mut rows = [
         bench_workload(&mut mlp, steps, reps),
         bench_workload(&mut supernet, steps, reps),
+        bench_workload(&mut fit, steps, reps),
     ];
+    rows[2].split_us = Some(fit_split_us(&mut fit, 4 * steps, reps));
+    // The acceptance bars cover the mlp and supernet rows they were set on.
+    let barred = &rows[..2];
 
     let table = render_table(
         &[
@@ -443,22 +564,31 @@ fn main() -> ExitCode {
          (strict columns bit-identity-verified; fastmode columns tolerance-verified)\n"
     );
     println!("{table}");
+    let [fwd_us, bwd_us, opt_us] = rows[2].split_us.expect("fit row carries its split");
+    let split = format!(
+        "predictor fit step split (strict, SIMD, 1 thread, us/step): forward {fwd_us:.1}, \
+         backward {bwd_us:.1}, optimizer {opt_us:.1}"
+    );
+    println!("{split}\n");
 
-    let min_speedup = rows
+    let min_speedup = barred
         .iter()
         .map(Row::speedup_1t)
         .fold(f64::INFINITY, f64::min);
-    let supernet_parity = rows[1].parity();
-    let mlp_fastmode = rows[0].fastmode_speedup_4t();
+    let supernet_parity = barred[1].parity();
+    let mlp_fastmode = barred[0].fastmode_speedup_4t();
     println!("minimum 1-thread step speedup: {min_speedup:.2}x (bar: 1.7x)");
     println!("supernet 4-thread/serial parity: {supernet_parity:.2} (bar: 0.90)");
     println!("predictor fast-tier 4-thread step speedup: {mlp_fastmode:.2}x (bar: 3.0x)");
 
     let mut json = String::from("{\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
+        let split = r.split_us.map_or(String::new(), |[f, b, o]| {
+            format!(", \"forward_us\": {f:.1}, \"backward_us\": {b:.1}, \"optimizer_us\": {o:.1}")
+        });
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"baseline_1t_steps_per_s\": {:.1}, \"fast_1t_steps_per_s\": {:.1}, \"fast_2t_steps_per_s\": {:.1}, \"fast_4t_steps_per_s\": {:.1}, \"speedup_1t\": {:.2}, \"speedup_4t\": {:.2}, \"parity_4t_over_1t\": {:.3}, \"fastmode_1t_steps_per_s\": {:.1}, \"fastmode_4t_steps_per_s\": {:.1}, \"fastmode_speedup_4t\": {:.2}}}{}",
+            "    {{\"workload\": \"{}\", \"baseline_1t_steps_per_s\": {:.1}, \"fast_1t_steps_per_s\": {:.1}, \"fast_2t_steps_per_s\": {:.1}, \"fast_4t_steps_per_s\": {:.1}, \"speedup_1t\": {:.2}, \"speedup_4t\": {:.2}, \"parity_4t_over_1t\": {:.3}, \"fastmode_1t_steps_per_s\": {:.1}, \"fastmode_4t_steps_per_s\": {:.1}, \"fastmode_speedup_4t\": {:.2}{}}}{}",
             r.name,
             r.baseline_sps,
             r.fast_sps[0],
@@ -470,6 +600,7 @@ fn main() -> ExitCode {
             r.fastmode_sps[0],
             r.fastmode_sps[1],
             r.fastmode_speedup_4t(),
+            split,
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
@@ -483,7 +614,7 @@ fn main() -> ExitCode {
     match std::fs::write(
         "results/train_step.txt",
         format!(
-            "{table}\nminimum 1-thread step speedup: {min_speedup:.2}x\nsupernet 4-thread/serial parity: {supernet_parity:.2}\npredictor fast-tier 4-thread step speedup: {mlp_fastmode:.2}x\n"
+            "{table}\n{split}\nminimum 1-thread step speedup: {min_speedup:.2}x\nsupernet 4-thread/serial parity: {supernet_parity:.2}\npredictor fast-tier 4-thread step speedup: {mlp_fastmode:.2}x\n"
         ),
     ) {
         Ok(()) => eprintln!("[train_step] wrote results/train_step.txt"),

@@ -86,7 +86,9 @@ fn fit(
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5eed);
     let mut order: Vec<usize> = (0..n).collect();
     // One tape for the whole run: `reset` between steps keeps node and
-    // buffer capacity, so steady-state steps allocate nothing.
+    // buffer capacity, and the batch tensors are built in the tape's own
+    // pooled storage, so steady-state steps allocate nothing and the pool
+    // stays at one step's footprint.
     let mut g = Graph::new();
     let mut bind = Bindings::new();
     for _ in 0..config.epochs {
@@ -97,17 +99,23 @@ fn fit(
         }
         for chunk in order.chunks(config.batch_size) {
             let b = chunk.len();
-            let mut x = Vec::with_capacity(b * INPUT_WIDTH);
-            let mut y = Vec::with_capacity(b);
-            for &i in chunk {
-                x.extend_from_slice(&train.encodings()[i]);
-                y.push(((train.targets()[i] - mean) / std) as f32);
-            }
             g.reset();
             bind.clear();
-            let xv = g.input(Tensor::from_vec(x, &[b, INPUT_WIDTH]));
+            let x = g.pooled_tensor(&[b, INPUT_WIDTH], |buf| {
+                for &i in chunk {
+                    buf.extend_from_slice(&train.encodings()[i]);
+                }
+            });
+            let y = g.pooled_tensor(&[b, 1], |buf| {
+                buf.extend(
+                    chunk
+                        .iter()
+                        .map(|&i| ((train.targets()[i] - mean) / std) as f32),
+                );
+            });
+            let xv = g.input(x);
             let pred = mlp.forward(&mut g, &mut bind, store, xv);
-            let loss = g.mse_loss(pred, Tensor::from_vec(y, &[b, 1]));
+            let loss = g.mse_loss(pred, y);
             g.backward(loss);
             opt.step(store, &g, &bind);
         }

@@ -291,6 +291,28 @@ impl Graph {
         self.push(Op::Input, copied, false)
     }
 
+    /// A tensor of shape `dims` built in the tape's pooled storage: `fill`
+    /// appends exactly its element count to an empty buffer. Handing the
+    /// result back to this tape ([`input`](Self::input),
+    /// [`mse_loss`](Self::mse_loss)) returns the buffer to the pool at
+    /// [`reset`](Self::reset), so a per-step batch reuses one buffer instead
+    /// of adding a fresh allocation to the pool every step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` appends a different number of elements.
+    pub fn pooled_tensor(&mut self, dims: &[usize], fill: impl FnOnce(&mut Vec<f32>)) -> Tensor {
+        let len = dims.iter().product();
+        let mut buf = self.pool.take(len);
+        fill(&mut buf);
+        assert_eq!(
+            buf.len(),
+            len,
+            "pooled_tensor fill must append {len} values"
+        );
+        Tensor::from_vec(buf, dims)
+    }
+
     /// Registers a trainable leaf whose gradient is computed by [`backward`].
     ///
     /// [`backward`]: Graph::backward
@@ -841,15 +863,13 @@ impl Graph {
     }
 
     /// Adds an owned delta into input `v`'s slot, recycling it when it is
-    /// consumed by in-place accumulation (or dropped for a no-grad input).
+    /// consumed by in-place accumulation. `propagate` builds owned deltas
+    /// only for operands that require a gradient.
     fn accumulate_owned(&mut self, v: Var, delta: Tensor) {
         let Self {
             nodes, grads, pool, ..
         } = self;
-        if !nodes[v.0].requires_grad {
-            pool.recycle(delta.into_vec());
-            return;
-        }
+        debug_assert!(nodes[v.0].requires_grad, "delta built for a no-grad node");
         match &mut grads[v.0] {
             Some(acc) => {
                 acc.add_scaled_assign(&delta, 1.0);
@@ -863,24 +883,36 @@ impl Graph {
         // Which inputs receive which delta. `Ref*` variants mean "the delta
         // is exactly `g`" — accumulated straight from the borrow with no
         // intermediate tensor; owned deltas are built in pooled storage.
+        //
+        // Deltas are demand-driven: an operand whose `requires_grad` is
+        // false (an input batch, a frozen constant) gets `None` instead of
+        // a computed delta, so no kernel runs and no buffer is drawn for a
+        // result `accumulate_owned` would only throw away. A single-operand
+        // op never needs the check — it requires grad only if its operand
+        // does. Skipping a delta never touches the others' arithmetic.
         enum Delta {
             None,
             Ref(Var),
             RefBoth(Var, Var),
-            RefPlusOwned(Var, Var, Tensor),
+            RefPlusOwned(Var, Var, Option<Tensor>),
             One(Var, Tensor),
-            Two(Var, Tensor, Var, Tensor),
+            Two(Var, Option<Tensor>, Var, Option<Tensor>),
             Many(Vec<(Var, Tensor)>),
         }
         let delta = {
             let Self { nodes, pool, .. } = self;
+            let need = |v: Var| nodes[v.0].requires_grad;
             match &nodes[i].op {
                 Op::Input | Op::Parameter => Delta::None,
                 Op::Add(a, b) => Delta::RefBoth(*a, *b),
-                Op::Sub(a, b) => Delta::RefPlusOwned(*a, *b, pooled_map(pool, g, |x| -x)),
+                Op::Sub(a, b) => {
+                    Delta::RefPlusOwned(*a, *b, need(*b).then(|| pooled_map(pool, g, |x| -x)))
+                }
                 Op::Mul(a, b) => {
-                    let ga = pooled_zip(pool, g, node_value(nodes, *b), "mul", |x, y| x * y);
-                    let gb = pooled_zip(pool, g, node_value(nodes, *a), "mul", |x, y| x * y);
+                    let ga = need(*a)
+                        .then(|| pooled_zip(pool, g, node_value(nodes, *b), "mul", |x, y| x * y));
+                    let gb = need(*b)
+                        .then(|| pooled_zip(pool, g, node_value(nodes, *a), "mul", |x, y| x * y));
                     Delta::Two(*a, ga, *b, gb)
                 }
                 Op::Scale(a, s) => {
@@ -897,16 +929,17 @@ impl Graph {
                     // row-tile gathering); bit-identical to
                     // `matmul(transpose())`. Both buffers are fully
                     // overwritten, so neither needs zeroing.
-                    let mut ga = pool.take_filled(m * k);
-                    matmul_nt_into(g.as_slice(), bv.as_slice(), m, n, k, &mut ga);
-                    let mut gb = pool.take_filled(k * n);
-                    matmul_tn_into(av.as_slice(), g.as_slice(), m, k, n, &mut gb);
-                    Delta::Two(
-                        *a,
-                        Tensor::from_vec(ga, &[m, k]),
-                        *b,
-                        Tensor::from_vec(gb, &[k, n]),
-                    )
+                    let ga = need(*a).then(|| {
+                        let mut ga = pool.take_filled(m * k);
+                        matmul_nt_into(g.as_slice(), bv.as_slice(), m, n, k, &mut ga);
+                        Tensor::from_vec(ga, &[m, k])
+                    });
+                    let gb = need(*b).then(|| {
+                        let mut gb = pool.take_filled(k * n);
+                        matmul_tn_into(av.as_slice(), g.as_slice(), m, k, n, &mut gb);
+                        Tensor::from_vec(gb, &[k, n])
+                    });
+                    Delta::Two(*a, ga, *b, gb)
                 }
                 Op::Relu(a) => {
                     let ga = pooled_zip(pool, g, node_value(nodes, *a), "mul", |gi, x| {
@@ -926,9 +959,9 @@ impl Graph {
                     Delta::One(*a, ga)
                 }
                 Op::AddRowBias(a, b) => {
-                    let (m, n) = (g.shape().dim(0), g.shape().dim(1));
-                    let mut gb = pooled_zeros(pool, &[n]);
-                    {
+                    let gb = need(*b).then(|| {
+                        let (m, n) = (g.shape().dim(0), g.shape().dim(1));
+                        let mut gb = pooled_zeros(pool, &[n]);
                         let gs = g.as_slice();
                         let o = gb.as_mut_slice();
                         for r in 0..m {
@@ -936,18 +969,19 @@ impl Graph {
                                 o[c] += gs[r * n + c];
                             }
                         }
-                    }
+                        gb
+                    });
                     Delta::RefPlusOwned(*a, *b, gb)
                 }
                 Op::AddChannelBias(a, b) => {
-                    let (n, c, h, w) = (
-                        g.shape().dim(0),
-                        g.shape().dim(1),
-                        g.shape().dim(2),
-                        g.shape().dim(3),
-                    );
-                    let mut gb = pooled_zeros(pool, &[c]);
-                    {
+                    let gb = need(*b).then(|| {
+                        let (n, c, h, w) = (
+                            g.shape().dim(0),
+                            g.shape().dim(1),
+                            g.shape().dim(2),
+                            g.shape().dim(3),
+                        );
+                        let mut gb = pooled_zeros(pool, &[c]);
                         let gs = g.as_slice();
                         let o = gb.as_mut_slice();
                         for bi in 0..n {
@@ -956,7 +990,8 @@ impl Graph {
                                 o[ch] += gs[base..base + h * w].iter().sum::<f32>();
                             }
                         }
-                    }
+                        gb
+                    });
                     Delta::RefPlusOwned(*a, *b, gb)
                 }
                 Op::MulChannelGate(a, gate) => {
@@ -969,41 +1004,61 @@ impl Graph {
                         av.shape().dim(3),
                     );
                     let hw = h * w;
-                    let mut ga = pooled_zeros(pool, av.shape().dims());
-                    let mut ggate = pooled_zeros(pool, &[n, c]);
-                    {
-                        let gs = g.as_slice();
-                        let xs = av.as_slice();
+                    let gs = g.as_slice();
+                    let ga = need(*a).then(|| {
+                        let mut ga = pooled_zeros(pool, av.shape().dims());
                         let gates = gv.as_slice();
                         let gad = ga.as_mut_slice();
-                        let ggd = ggate.as_mut_slice();
-                        for bi in 0..n {
-                            for ch in 0..c {
-                                let gk = gates[bi * c + ch];
-                                let base = (bi * c + ch) * hw;
-                                let mut acc = 0.0f32;
-                                for k in 0..hw {
-                                    gad[base + k] = gs[base + k] * gk;
-                                    acc += gs[base + k] * xs[base + k];
-                                }
-                                ggd[bi * c + ch] = acc;
+                        for plane in 0..n * c {
+                            let base = plane * hw;
+                            for k in 0..hw {
+                                gad[base + k] = gs[base + k] * gates[plane];
                             }
                         }
-                    }
+                        ga
+                    });
+                    let ggate = need(*gate).then(|| {
+                        let mut ggate = pooled_zeros(pool, &[n, c]);
+                        let xs = av.as_slice();
+                        let ggd = ggate.as_mut_slice();
+                        for plane in 0..n * c {
+                            let base = plane * hw;
+                            let mut acc = 0.0f32;
+                            for k in 0..hw {
+                                acc += gs[base + k] * xs[base + k];
+                            }
+                            ggd[plane] = acc;
+                        }
+                        ggate
+                    });
                     Delta::Two(*a, ga, *gate, ggate)
                 }
                 Op::Conv2d { x, w, spec } => {
                     let (xv, wv) = (node_value(nodes, *x), node_value(nodes, *w));
-                    let mut gx = pooled_zeros(pool, xv.shape().dims());
-                    let mut gw = pooled_zeros(pool, wv.shape().dims());
-                    conv2d_backward_into(xv, wv, *spec, g, gx.as_mut_slice(), gw.as_mut_slice());
+                    let mut gx = need(*x).then(|| pooled_zeros(pool, xv.shape().dims()));
+                    let mut gw = need(*w).then(|| pooled_zeros(pool, wv.shape().dims()));
+                    conv2d_backward_into(
+                        xv,
+                        wv,
+                        *spec,
+                        g,
+                        gx.as_mut().map(Tensor::as_mut_slice),
+                        gw.as_mut().map(Tensor::as_mut_slice),
+                    );
                     Delta::Two(*x, gx, *w, gw)
                 }
                 Op::DwConv2d { x, w, spec } => {
                     let (xv, wv) = (node_value(nodes, *x), node_value(nodes, *w));
-                    let mut gx = pooled_zeros(pool, xv.shape().dims());
-                    let mut gw = pooled_zeros(pool, wv.shape().dims());
-                    dwconv2d_backward_into(xv, wv, *spec, g, gx.as_mut_slice(), gw.as_mut_slice());
+                    let mut gx = need(*x).then(|| pooled_zeros(pool, xv.shape().dims()));
+                    let mut gw = need(*w).then(|| pooled_zeros(pool, wv.shape().dims()));
+                    dwconv2d_backward_into(
+                        xv,
+                        wv,
+                        *spec,
+                        g,
+                        gx.as_mut().map(Tensor::as_mut_slice),
+                        gw.as_mut().map(Tensor::as_mut_slice),
+                    );
                     Delta::Two(*x, gx, *w, gw)
                 }
                 Op::GlobalAvgPool(a) => {
@@ -1046,20 +1101,24 @@ impl Graph {
                 }
                 Op::Mix { coeffs, inputs } => {
                     let mut out = Vec::with_capacity(inputs.len() + 1);
-                    let mut gc = pooled_zeros(pool, &[inputs.len()]);
+                    let mut gc = need(*coeffs).then(|| pooled_zeros(pool, &[inputs.len()]));
                     for (k, &v) in inputs.iter().enumerate() {
-                        let xv = node_value(nodes, v);
-                        let dot: f32 = g
-                            .as_slice()
-                            .iter()
-                            .zip(xv.as_slice())
-                            .map(|(a, b)| a * b)
-                            .sum();
-                        gc.as_mut_slice()[k] = dot;
-                        let ck = node_value(nodes, *coeffs).as_slice()[k];
-                        out.push((v, pooled_map(pool, g, |x| x * ck)));
+                        if let Some(gc) = &mut gc {
+                            let xv = node_value(nodes, v);
+                            let dot: f32 = g
+                                .as_slice()
+                                .iter()
+                                .zip(xv.as_slice())
+                                .map(|(a, b)| a * b)
+                                .sum();
+                            gc.as_mut_slice()[k] = dot;
+                        }
+                        if need(v) {
+                            let ck = node_value(nodes, *coeffs).as_slice()[k];
+                            out.push((v, pooled_map(pool, g, |x| x * ck)));
+                        }
                     }
-                    out.push((*coeffs, gc));
+                    out.extend(gc.map(|gc| (*coeffs, gc)));
                     Delta::Many(out)
                 }
                 Op::SoftmaxCrossEntropy {
@@ -1101,12 +1160,18 @@ impl Graph {
             }
             Delta::RefPlusOwned(a, b, gb) => {
                 self.accumulate_ref(a, g);
-                self.accumulate_owned(b, gb);
+                if let Some(gb) = gb {
+                    self.accumulate_owned(b, gb);
+                }
             }
             Delta::One(a, ga) => self.accumulate_owned(a, ga),
             Delta::Two(a, ga, b, gb) => {
-                self.accumulate_owned(a, ga);
-                self.accumulate_owned(b, gb);
+                if let Some(ga) = ga {
+                    self.accumulate_owned(a, ga);
+                }
+                if let Some(gb) = gb {
+                    self.accumulate_owned(b, gb);
+                }
             }
             Delta::Many(items) => {
                 for (v, gv) in items {
@@ -1174,6 +1239,103 @@ mod tests {
         g.backward(loss);
         assert!(g.grad_opt(x).is_none());
         assert!(g.grad_opt(w).is_some());
+    }
+
+    #[test]
+    fn matmul_backward_draws_no_buffer_for_an_input_operand() {
+        // Identical tapes except for the left operand's kind: backward must
+        // take exactly one pool buffer fewer when it is an `Input`, the
+        // delta a no-grad operand would only have thrown away.
+        let takes_during_backward = |x_is_input: bool| {
+            let mut g = Graph::new();
+            let xv = Tensor::uniform(&[8, 6], -1.0, 1.0, 3);
+            let x = if x_is_input {
+                g.input(xv)
+            } else {
+                g.parameter(xv)
+            };
+            let w = g.parameter(Tensor::uniform(&[6, 5], -1.0, 1.0, 4));
+            let y = g.matmul(x, w);
+            let loss = g.sum(y);
+            let before = g.pool_stats();
+            g.backward(loss);
+            let after = g.pool_stats();
+            assert!(g.grad_opt(w).is_some());
+            assert_eq!(g.grad_opt(x).is_some(), !x_is_input);
+            (after.hits + after.misses) - (before.hits + before.misses)
+        };
+        assert_eq!(
+            takes_during_backward(true) + 1,
+            takes_during_backward(false),
+            "an Input operand's delta must not be computed"
+        );
+    }
+
+    #[test]
+    fn skipped_deltas_leave_needed_gradients_bit_identical() {
+        // A tape through every two-operand op, with each leaf frozen in
+        // turn: the frozen leaf gets no gradient, and every trainable
+        // leaf's gradient keeps the bits of the all-trainable run.
+        const LEAVES: usize = 8;
+        let grads = |frozen: [bool; LEAVES]| {
+            let mut g = Graph::new();
+            let values = [
+                Tensor::uniform(&[2, 3, 4, 4], -1.0, 1.0, 1),
+                Tensor::uniform(&[3, 3, 3, 3], -0.5, 0.5, 2),
+                Tensor::uniform(&[3, 1, 3, 3], -0.5, 0.5, 3),
+                Tensor::uniform(&[3], -0.5, 0.5, 4),
+                Tensor::uniform(&[2, 3], 0.0, 1.0, 5),
+                Tensor::uniform(&[3, 2], -0.5, 0.5, 6),
+                Tensor::from_vec(vec![0.25, 0.75], &[2]),
+                Tensor::uniform(&[2], -0.5, 0.5, 7),
+            ];
+            let leaves: Vec<Var> = values
+                .into_iter()
+                .zip(frozen)
+                .map(|(t, f)| if f { g.input(t) } else { g.parameter(t) })
+                .collect();
+            let [x, w, dw, cb, gate, head, coeffs, rb] = leaves[..] else {
+                unreachable!()
+            };
+            let spec = Conv2dSpec {
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+            };
+            let c = g.conv2d(x, w, spec);
+            let d = g.dwconv2d(x, dw, spec);
+            let s = g.sub(c, d);
+            let m = g.mul(s, x);
+            let m = g.add_channel_bias(m, cb);
+            let m = g.mul_channel_gate(m, gate);
+            let pooled = g.global_avg_pool(m);
+            let logits = g.matmul(pooled, head);
+            let scaled = g.scale(logits, 2.0);
+            let mixed = g.mix(coeffs, &[logits, scaled]);
+            let out = g.add_row_bias(mixed, rb);
+            let loss = g.softmax_cross_entropy(out, &[0, 1]);
+            g.backward(loss);
+            leaves
+                .iter()
+                .map(|&v| {
+                    g.grad_opt(v)
+                        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                })
+                .collect::<Vec<_>>()
+        };
+        let all = grads([false; LEAVES]);
+        for leaf in 0..LEAVES {
+            let mut frozen = [false; LEAVES];
+            frozen[leaf] = true;
+            let got = grads(frozen);
+            for (i, (g, want)) in got.iter().zip(&all).enumerate() {
+                if i == leaf {
+                    assert!(g.is_none(), "frozen leaf {i} received a gradient");
+                } else {
+                    assert_eq!(g, want, "leaf {i} moved when leaf {leaf} was frozen");
+                }
+            }
+        }
     }
 
     #[test]

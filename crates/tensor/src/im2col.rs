@@ -241,22 +241,24 @@ pub fn conv2d_backward_fast(
         weight,
         spec,
         grad_out,
-        gx.as_mut_slice(),
-        gw.as_mut_slice(),
+        Some(gx.as_mut_slice()),
+        Some(gw.as_mut_slice()),
     );
     (gx, gw)
 }
 
 /// [`conv2d_backward_fast`] writing into caller-provided **zeroed** buffers
 /// (`gx` accumulates scattered contributions; `gw` is fully overwritten by
-/// the GEMM). Used by the autograd tape to target pooled storage.
+/// the GEMM). Used by the autograd tape to target pooled storage. A `None`
+/// output is not computed: no `gx` skips the input-gradient GEMM and the
+/// col2im scatter, no `gw` skips the im2col and the weight-gradient GEMM.
 pub(crate) fn conv2d_backward_into(
     input: &Tensor,
     weight: &Tensor,
     spec: Conv2dSpec,
     grad_out: &Tensor,
-    gx: &mut [f32],
-    gw: &mut [f32],
+    gx: Option<&mut [f32]>,
+    gw: Option<&mut [f32]>,
 ) {
     let (n, c_in, h, w) = dims4(input);
     let (c_out, _, kh, kw) = dims4(weight);
@@ -268,8 +270,12 @@ pub(crate) fn conv2d_backward_into(
     );
     let (hw, ck2) = (ho * wo, c_in * kh * kw);
     let rows = n * hw;
-    assert_eq!(gx.len(), n * c_in * h * w, "grad_input length mismatch");
-    assert_eq!(gw.len(), c_out * ck2, "grad_weight length mismatch");
+    if let Some(gx) = &gx {
+        assert_eq!(gx.len(), n * c_in * h * w, "grad_input length mismatch");
+    }
+    if let Some(gw) = &gw {
+        assert_eq!(gw.len(), c_out * ck2, "grad_weight length mismatch");
+    }
     // grad_out in [n·ho·wo, cout] layout, one batch entry per chunk. Pool
     // borrows are short-lived — the GEMMs take their own scratch.
     // Fully overwritten by the scatter below: no zeroing needed.
@@ -289,33 +295,35 @@ pub(crate) fn conv2d_backward_into(
             },
         );
     }
-    let mut cols = with_pool(|pool| pool.take_zeroed(rows * ck2));
-    im2col_into(input, spec, &mut cols);
-    // grad_weight = g_mat^T · cols  -> [cout, cin·k·k]; the TN variant
-    // gathers g_mat's columns tile-by-tile, so no transpose materializes.
-    kernels::matmul_tn_into(&g_mat, &cols, rows, c_out, ck2, gw);
-    // grad_cols = g_mat · w_mat    -> [n·ho·wo, cin·k·k]; the weight is
-    // already laid out as the [cout, cin·k·k] matrix.
-    let mut g_cols = with_pool(|pool| pool.take_filled(rows * ck2));
-    kernels::matmul_into(&g_mat, weight.as_slice(), rows, c_out, ck2, &mut g_cols);
-    let per_in = c_in * h * w;
-    let per_rows = hw * ck2;
-    let gc_ref = &g_cols;
-    kernels::par_chunks(gx, per_in, lower_threads(rows * ck2), |b, chunk| {
-        col2im_fill(
-            &gc_ref[b * per_rows..(b + 1) * per_rows],
-            chunk,
-            c_in,
-            h,
-            w,
-            spec,
-        );
-    });
-    with_pool(|pool| {
-        pool.recycle(g_mat);
-        pool.recycle(cols);
-        pool.recycle(g_cols);
-    });
+    if let Some(gw) = gw {
+        let mut cols = with_pool(|pool| pool.take_zeroed(rows * ck2));
+        im2col_into(input, spec, &mut cols);
+        // grad_weight = g_mat^T · cols  -> [cout, cin·k·k]; the TN variant
+        // gathers g_mat's columns tile-by-tile, so no transpose materializes.
+        kernels::matmul_tn_into(&g_mat, &cols, rows, c_out, ck2, gw);
+        with_pool(|pool| pool.recycle(cols));
+    }
+    if let Some(gx) = gx {
+        // grad_cols = g_mat · w_mat    -> [n·ho·wo, cin·k·k]; the weight is
+        // already laid out as the [cout, cin·k·k] matrix.
+        let mut g_cols = with_pool(|pool| pool.take_filled(rows * ck2));
+        kernels::matmul_into(&g_mat, weight.as_slice(), rows, c_out, ck2, &mut g_cols);
+        let per_in = c_in * h * w;
+        let per_rows = hw * ck2;
+        let gc_ref = &g_cols;
+        kernels::par_chunks(gx, per_in, lower_threads(rows * ck2), |b, chunk| {
+            col2im_fill(
+                &gc_ref[b * per_rows..(b + 1) * per_rows],
+                chunk,
+                c_in,
+                h,
+                w,
+                spec,
+            );
+        });
+        with_pool(|pool| pool.recycle(g_cols));
+    }
+    with_pool(|pool| pool.recycle(g_mat));
 }
 
 fn dims4(t: &Tensor) -> (usize, usize, usize, usize) {

@@ -285,6 +285,11 @@ const JR_SIMD: usize = 16;
 const PACK_MIN_FLOPS: usize = 1 << 12;
 /// Below this many multiply-adds threading costs more than it saves.
 pub(crate) const PAR_MIN_FLOPS: usize = 1 << 21;
+/// A left operand with at most one non-zero entry in this many takes the
+/// zero-skipping path ([`SparseRows`]). The paper's one-hot `ᾱ` rows hold
+/// 22 non-zeros in 154 (one in seven); ReLU activations, about one in two,
+/// stay on the packed kernel.
+const SPARSE_ONE_IN: usize = 4;
 
 /// `out = a · b` for row-major `a` (`[m, k]`) and `b` (`[k, n]`).
 ///
@@ -292,7 +297,10 @@ pub(crate) const PAR_MIN_FLOPS: usize = 1 << 21;
 /// element accumulates `a[i][p] * b[p][j]` in ascending `p` with a single
 /// `f32` accumulator — and byte-identical across thread counts. Empty
 /// operands (`m`, `k` or `n` of 0) produce a well-formed all-zero / empty
-/// result instead of panicking.
+/// result instead of panicking. A mostly-zero `a` (at most one entry in
+/// four non-zero) takes a zero-skipping row kernel and a narrow output
+/// (`n` < 8) a transposed row-streaming one, on either kernel tier; both
+/// keep that per-element chain.
 ///
 /// # Panics
 ///
@@ -312,6 +320,16 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
     let use_simd = crate::simd::simd_enabled();
     if m < MR || flops < PACK_MIN_FLOPS {
         gemm_axpy(a, b, k, n, 0, use_simd, out);
+        return;
+    }
+    if n < JR && m >= JR {
+        let mut at = with_pool(|pool| pool.take_filled(k * m));
+        transpose_into(a, m, k, &mut at);
+        narrow_product(&at, b, k, m, n, out);
+        with_pool(|pool| pool.recycle(at));
+        return;
+    }
+    if sparse_gemm(|sp, _| sp.compress_rows(a, m, k), b, n, use_simd, out) {
         return;
     }
     if crate::fastpath::matmul_fast(a, b, m, k, n, out) {
@@ -390,6 +408,8 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
 /// transpose. Per output element the accumulation is `a[p][i] · b[p][j]`
 /// in ascending `p` with one `f32` accumulator: exactly the chain
 /// `matmul_into(transpose(a), b)` runs, so the bits are identical to it.
+/// A mostly-zero `a` and a narrow output take the same row-streaming paths
+/// as [`matmul_into`].
 ///
 /// # Panics
 ///
@@ -413,10 +433,23 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
         with_pool(|pool| pool.recycle(at));
         return;
     }
-    if crate::fastpath::matmul_tn_fast(a, b, d, m, n, out) {
+    if n < JR {
+        narrow_product(a, b, d, m, n, out);
         return;
     }
     let use_simd = crate::simd::simd_enabled();
+    if sparse_gemm(
+        |sp, scratch| sp.compress_cols(scratch, a, d, m),
+        b,
+        n,
+        use_simd,
+        out,
+    ) {
+        return;
+    }
+    if crate::fastpath::matmul_tn_fast(a, b, d, m, n, out) {
+        return;
+    }
     let threads = if flops < PAR_MIN_FLOPS {
         1
     } else {
@@ -459,6 +492,25 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
         with_pool(|pool| pool.recycle(strip));
     });
     with_pool(|pool| pool.recycle(packed));
+}
+
+/// `out = xᵀ · b` (`[m, n]`) for row-major `x` (`[d, m]`) and `b` (`[d, n]`)
+/// with a narrow output (`n < JR`, e.g. a layer into one unit or its
+/// weight gradient), where a packed panel would carry one live lane in
+/// [`JR`]. Computes `outᵀ = bᵀ · x` instead, which streams the `m`-wide
+/// rows of `x`, and transposes back. Each element still sums
+/// `b[p][j] · x[p][i]` — the same product, multiplication commutes — in
+/// ascending `p`, so the bits match every other path.
+fn narrow_product(x: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &mut [f32]) {
+    let mut bt = with_pool(|pool| pool.take_filled(n * d));
+    transpose_into(b, d, n, &mut bt);
+    let mut out_t = with_pool(|pool| pool.take_filled(n * m));
+    matmul_into(&bt, x, n, d, m, &mut out_t);
+    transpose_into(&out_t, n, m, out);
+    with_pool(|pool| {
+        pool.recycle(bt);
+        pool.recycle(out_t);
+    });
 }
 
 /// Packs `b` (`[k, n]`) into column panels of width ≤ `width`; each panel is
@@ -643,6 +695,183 @@ fn micro_tile_edge(
     }
     for (ir, accr) in acc.iter().enumerate().take(h) {
         out[(r + ir) * n + j0..(r + ir) * n + j0 + w].copy_from_slice(&accr[..w]);
+    }
+}
+
+/// A mostly-zero left operand compressed by output row: row `i`'s non-zero
+/// terms are `(idx[t], val[t])` for `t` in `starts[i]..starts[i + 1]`, in
+/// ascending reduction index.
+///
+/// [`SparseRows::gemm`] gives every output element one accumulator that
+/// starts at `+0.0` and adds the non-zero terms in ascending index — the
+/// dense chain minus its `±0.0 · b` terms. Those terms are no-ops: for
+/// finite `b` the product is `±0.0`, and `acc + (±0.0) = acc` for every
+/// accumulator that is not `-0.0`, which one starting at `+0.0` never
+/// becomes under round-to-nearest. So the skip is bit-exact for finite
+/// right operands (an infinite or NaN `b` would have turned the skipped
+/// `0 · b` into NaN), exactly like [`gemm_axpy`]'s existing skip.
+#[derive(Default)]
+struct SparseRows {
+    starts: Vec<usize>,
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+thread_local! {
+    /// This thread's compression buffers: the operand's rows, and the
+    /// transposed copy the `aᵀ · b` product runs on.
+    static SPARSE: RefCell<(SparseRows, SparseRows)> = RefCell::default();
+}
+
+/// Runs the zero-skipping GEMM if `compress` finds the left operand mostly
+/// zero, reusing this thread's compression buffers (`compress` gets the
+/// target and a scratch copy). Returns `false` (and leaves `out` untouched)
+/// when the operand is too dense.
+fn sparse_gemm(
+    compress: impl FnOnce(&mut SparseRows, &mut SparseRows) -> bool,
+    b: &[f32],
+    n: usize,
+    use_simd: bool,
+    out: &mut [f32],
+) -> bool {
+    // Taken out of the slot rather than borrowed, so no borrow is held
+    // across the kernel call.
+    let (mut sp, mut scratch) = SPARSE.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    let hit = compress(&mut sp, &mut scratch);
+    if hit {
+        sp.gemm(b, n, use_simd, out);
+    }
+    SPARSE.with(|s| *s.borrow_mut() = (sp, scratch));
+    hit
+}
+
+/// The number of non-zero entries of `a`, or `None` once it exceeds one
+/// entry in [`SPARSE_ONE_IN`]. Counts 32 lanes per mask and checks the
+/// limit per block, so a dense operand pays for a fraction of one pass.
+fn sparse_count(a: &[f32]) -> Option<usize> {
+    let limit = a.len() / SPARSE_ONE_IN;
+    let mut nnz = 0;
+    for block in a.chunks(1024) {
+        for lanes in block.chunks(32) {
+            nnz += crate::simd::nonzero_mask(lanes).count_ones() as usize;
+        }
+        if nnz > limit {
+            return None;
+        }
+    }
+    Some(nnz)
+}
+
+impl SparseRows {
+    /// Compresses the rows of row-major `a` (`[m, k]`), or returns `false`
+    /// if it is not mostly zero ([`sparse_count`]).
+    fn compress_rows(&mut self, a: &[f32], m: usize, k: usize) -> bool {
+        assert!(
+            u32::try_from(k).is_ok(),
+            "sparse column index overflows u32"
+        );
+        let Some(nnz) = sparse_count(a) else {
+            return false;
+        };
+        self.resize(m, nnz);
+        let mut t = 0;
+        for (i, row) in a.chunks_exact(k).take(m).enumerate() {
+            for (c, lanes) in row.chunks(32).enumerate() {
+                let mut mask = crate::simd::nonzero_mask(lanes);
+                while mask != 0 {
+                    let j = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    self.idx[t] = (c * 32 + j) as u32;
+                    self.val[t] = lanes[j];
+                    t += 1;
+                }
+            }
+            self.starts[i + 1] = t;
+        }
+        true
+    }
+
+    /// Compresses the columns of row-major `a` (`[d, m]`), i.e. the rows of
+    /// `aᵀ`: compress the rows into `scratch`, then counting-sort the terms
+    /// by column. Walking `scratch` in row order keeps every column's terms
+    /// in ascending reduction index.
+    fn compress_cols(&mut self, scratch: &mut Self, a: &[f32], d: usize, m: usize) -> bool {
+        assert!(u32::try_from(d).is_ok(), "sparse row index overflows u32");
+        if !scratch.compress_rows(a, d, m) {
+            return false;
+        }
+        self.resize(m, scratch.idx.len());
+        self.starts.fill(0);
+        for &i in &scratch.idx {
+            self.starts[i as usize + 1] += 1;
+        }
+        for i in 0..m {
+            self.starts[i + 1] += self.starts[i];
+        }
+        // `starts[i]` serves as column i's fill cursor, ending at column
+        // i + 1's start; shifting right by one afterwards restores it.
+        for p in 0..d {
+            for t in scratch.starts[p]..scratch.starts[p + 1] {
+                let i = scratch.idx[t] as usize;
+                let dst = self.starts[i];
+                self.idx[dst] = p as u32;
+                self.val[dst] = scratch.val[t];
+                self.starts[i] = dst + 1;
+            }
+        }
+        self.starts.copy_within(0..m, 1);
+        self.starts[0] = 0;
+        true
+    }
+
+    /// Sizes the buffers for `rows` rows and `nnz` terms; `starts[0]` is 0.
+    fn resize(&mut self, rows: usize, nnz: usize) {
+        self.starts.resize(rows + 1, 0);
+        self.starts[0] = 0;
+        self.idx.resize(nnz, 0);
+        self.val.resize(nnz, 0.0);
+    }
+
+    /// `out = lhs · b` for the compressed `lhs` and row-major `b`
+    /// (`[k, n]`), threaded over output rows like the packed kernel.
+    fn gemm(&self, b: &[f32], n: usize, use_simd: bool, out: &mut [f32]) {
+        let rows = self.starts.len() - 1;
+        let threads = if self.idx.len() * n < PAR_MIN_FLOPS {
+            1
+        } else {
+            num_threads()
+        };
+        let rows_per = rows.div_ceil(threads.clamp(1, rows));
+        par_chunks(out, rows_per * n, threads, |gi, chunk| {
+            for (r, orow) in chunk.chunks_exact_mut(n).enumerate() {
+                let i = gi * rows_per + r;
+                let terms = self.starts[i]..self.starts[i + 1];
+                let (idx, val) = (&self.idx[terms.clone()], &self.val[terms]);
+                if !crate::simd::sparse_row(use_simd, idx, val, b, orow) {
+                    sparse_row_portable(idx, val, b, orow);
+                }
+            }
+        });
+    }
+}
+
+/// One output row of [`SparseRows::gemm`]: column blocks of [`JR_SIMD`]
+/// accumulators held in a fixed-size array (registers), each consuming the
+/// row's terms in ascending index.
+fn sparse_row_portable(idx: &[u32], val: &[f32], b: &[f32], orow: &mut [f32]) {
+    let n = orow.len();
+    let mut j0 = 0;
+    while j0 < n {
+        let w = JR_SIMD.min(n - j0);
+        let mut acc = [0.0f32; JR_SIMD];
+        for (&p, &v) in idx.iter().zip(val) {
+            let brow = &b[p as usize * n + j0..p as usize * n + j0 + w];
+            for (slot, &bv) in acc.iter_mut().zip(brow) {
+                *slot += v * bv;
+            }
+        }
+        orow[j0..j0 + w].copy_from_slice(&acc[..w]);
+        j0 += w;
     }
 }
 

@@ -255,6 +255,69 @@ pub(crate) fn axpy_row(use_simd: bool, o: &mut [f32], b: &[f32], av: f32) -> boo
     false
 }
 
+/// AVX2 output row of the zero-skipping GEMM: `o[j] = Σ_t val[t] ·
+/// b[idx[t]][j]` (`b` row-major with `o.len()` columns), each lane one
+/// accumulator starting at `+0.0` and consuming the terms in order with
+/// separate mul and add roundings. Returns `false` when the SIMD path is
+/// off; the caller runs the portable loop.
+#[inline]
+pub(crate) fn sparse_row(
+    use_simd: bool,
+    idx: &[u32],
+    val: &[f32],
+    b: &[f32],
+    o: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if use_simd {
+        assert_eq!(idx.len(), val.len(), "sparse row terms must pair up");
+        let n = o.len();
+        assert!(
+            idx.iter().all(|&p| (p as usize + 1) * n <= b.len()),
+            "sparse row index out of bounds"
+        );
+        // SAFETY: AVX2 availability is established by `use_simd`; every
+        // term's `b` row was just checked to lie inside `b`.
+        unsafe { avx2::sparse_row(idx, val, b, o) };
+        return true;
+    }
+    let _ = (use_simd, idx, val, b, o);
+    false
+}
+
+/// Bit `j` set iff `lanes[j] != 0.0` (at most 32 lanes; NaN counts as
+/// non-zero, `-0.0` as zero) — how the zero-skipping GEMM finds a row's
+/// terms without a data-dependent branch per entry. SSE2 compare and
+/// movemask, four lanes at a time, on x86-64, where SSE2 is the baseline
+/// and needs no runtime dispatch; a scalar loop for the tail and elsewhere.
+/// A pure comparison, so every path gives the same mask.
+#[inline]
+pub(crate) fn nonzero_mask(lanes: &[f32]) -> u32 {
+    assert!(lanes.len() <= 32, "a mask covers at most 32 lanes");
+    let mut mask = 0u32;
+    let mut j = 0;
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_cmpneq_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_setzero_ps};
+        while j + 4 <= lanes.len() {
+            // SAFETY: SSE2 is part of the x86-64 baseline, and j + 4 <= len
+            // keeps the four-lane load inside `lanes`.
+            let bits = unsafe {
+                _mm_movemask_ps(_mm_cmpneq_ps(
+                    _mm_loadu_ps(lanes.as_ptr().add(j)),
+                    _mm_setzero_ps(),
+                ))
+            };
+            mask |= (bits as u32) << j;
+            j += 4;
+        }
+    }
+    for (jj, &v) in lanes.iter().enumerate().skip(j) {
+        mask |= u32::from(v != 0.0) << jj;
+    }
+    mask
+}
+
 /// Fast-tier FMA 4×16 GEMM micro-tile over a packed B panel. Like
 /// [`tile_4x16`] but contracted with `vfmadd231ps` and generalized with an
 /// explicit LHS row stride so the caller can feed a `k`-subrange (the
@@ -739,6 +802,53 @@ mod avx2 {
         _mm256_storeu_ps(dst.add(5 * m), _mm256_permute2f128_ps(s1, s5, 0x31));
         _mm256_storeu_ps(dst.add(6 * m), _mm256_permute2f128_ps(s2, s6, 0x31));
         _mm256_storeu_ps(dst.add(7 * m), _mm256_permute2f128_ps(s3, s7, 0x31));
+    }
+
+    /// One output row of the zero-skipping GEMM: 64-column blocks in eight
+    /// `__m256` accumulators (enough independent chains to hide the add
+    /// latency), then 8-column blocks, then a scalar tail. Every lane keeps
+    /// one accumulator over the terms in order, multiply then add.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `idx.len() == val.len()`, and every
+    /// `(idx[t] + 1) · o.len() <= b.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sparse_row(idx: &[u32], val: &[f32], b: &[f32], o: &mut [f32]) {
+        let n = o.len();
+        let (bp, op) = (b.as_ptr(), o.as_mut_ptr());
+        let mut j = 0;
+        while j + 64 <= n {
+            let mut acc = [_mm256_setzero_ps(); 8];
+            for (&p, &v) in idx.iter().zip(val) {
+                let va = _mm256_set1_ps(v);
+                let row = bp.add(p as usize * n + j);
+                for (q, slot) in acc.iter_mut().enumerate() {
+                    *slot = madd(*slot, va, _mm256_loadu_ps(row.add(8 * q)));
+                }
+            }
+            for (q, slot) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(j + 8 * q), *slot);
+            }
+            j += 64;
+        }
+        while j + 8 <= n {
+            let mut acc = _mm256_setzero_ps();
+            for (&p, &v) in idx.iter().zip(val) {
+                let row = bp.add(p as usize * n + j);
+                acc = madd(acc, _mm256_set1_ps(v), _mm256_loadu_ps(row));
+            }
+            _mm256_storeu_ps(op.add(j), acc);
+            j += 8;
+        }
+        while j < n {
+            let mut acc = 0.0f32;
+            for (&p, &v) in idx.iter().zip(val) {
+                acc += v * *bp.add(p as usize * n + j);
+            }
+            *op.add(j) = acc;
+            j += 1;
+        }
     }
 
     /// `o[j] += av * b[j]`, eight lanes at a time with a scalar tail. Lane

@@ -703,28 +703,33 @@ pub fn dwconv2d_backward(
         weight,
         spec,
         grad_out,
-        gx.as_mut_slice(),
-        gw.as_mut_slice(),
+        Some(gx.as_mut_slice()),
+        Some(gw.as_mut_slice()),
     );
     (gx, gw)
 }
 
 /// [`dwconv2d_backward`] writing into caller-provided buffers. Both `gx` and
-/// `gw` must be zero-filled on entry (the kernels accumulate into them).
+/// `gw` must be zero-filled on entry (the kernels accumulate into them); a
+/// `None` output is not computed.
 pub(crate) fn dwconv2d_backward_into(
     input: &Tensor,
     weight: &Tensor,
     spec: Conv2dSpec,
     grad_out: &Tensor,
-    gx: &mut [f32],
-    gw: &mut [f32],
+    gx: Option<&mut [f32]>,
+    gw: Option<&mut [f32]>,
 ) {
     let (n, c, h, w) = dims4(input, "dwconv input");
     let (_, _, kh, kw) = dims4(weight, "dwconv weight");
     let (gn, gc, ho, wo) = dims4(grad_out, "dwconv grad_out");
     assert_eq!((gn, gc), (n, c), "dwconv grad_out shape mismatch");
-    assert_eq!(gx.len(), n * c * h * w, "dwconv grad_input length mismatch");
-    assert_eq!(gw.len(), c * kh * kw, "dwconv grad_weight length mismatch");
+    if let Some(gx) = &gx {
+        assert_eq!(gx.len(), n * c * h * w, "dwconv grad_input length mismatch");
+    }
+    if let Some(gw) = &gw {
+        assert_eq!(gw.len(), c * kh * kw, "dwconv grad_weight length mismatch");
+    }
     let x = input.as_slice();
     let k = weight.as_slice();
     let go = grad_out.as_slice();
@@ -735,72 +740,49 @@ pub(crate) fn dwconv2d_backward_into(
     };
     let use_simd = spec.stride == 1 && crate::simd::simd_enabled();
     let fast = crate::mode::fast_active();
-    crate::kernels::par_chunks(gx, h * w, threads, |plane, gxp| {
-        let (b, ch) = (plane / c, plane % c);
-        if use_simd {
-            // Row-scatter form (stride 1). The scalar loop below delivers
-            // contributions to a given `gx[iy][ix]` in ascending `(oy, ox)`
-            // order (one `(ky, kx)` pair per output element). Here `oy`
-            // stays outermost; for a fixed `(oy, ky)` the lane `ix = ox +
-            // kx - pad` receives from ascending `ox` iff `kx` descends, so
-            // the tap loop runs in reverse to keep every per-element chain
-            // in the scalar order. Skipping `g == 0` rows is dropped: a
-            // `±0` contribution never changes an accumulator that starts
-            // at `+0.0` (and finite sums never produce `-0.0`).
-            let pad = spec.padding;
-            for oy in 0..ho {
-                let grow = ((b * c + ch) * ho + oy) * wo;
-                for ky in 0..kh {
-                    let iy = (oy + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let xrow = iy as usize * w;
-                    for kx in (0..kw).rev() {
-                        let lo = pad.saturating_sub(kx);
-                        let hi = (w + pad).saturating_sub(kx).min(wo);
-                        if lo >= hi {
+    if let Some(gx) = gx {
+        crate::kernels::par_chunks(gx, h * w, threads, |plane, gxp| {
+            let (b, ch) = (plane / c, plane % c);
+            if use_simd {
+                // Row-scatter form (stride 1). The scalar loop below delivers
+                // contributions to a given `gx[iy][ix]` in ascending `(oy, ox)`
+                // order (one `(ky, kx)` pair per output element). Here `oy`
+                // stays outermost; for a fixed `(oy, ky)` the lane `ix = ox +
+                // kx - pad` receives from ascending `ox` iff `kx` descends, so
+                // the tap loop runs in reverse to keep every per-element chain
+                // in the scalar order. Skipping `g == 0` rows is dropped: a
+                // `±0` contribution never changes an accumulator that starts
+                // at `+0.0` (and finite sums never produce `-0.0`).
+                let pad = spec.padding;
+                for oy in 0..ho {
+                    let grow = ((b * c + ch) * ho + oy) * wo;
+                    for ky in 0..kh {
+                        let iy = (oy + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
                             continue;
                         }
-                        let wgt = k[(ch * kh + ky) * kw + kx];
-                        let gs = &go[grow + lo..grow + hi];
-                        let dst = &mut gxp[xrow + lo + kx - pad..xrow + hi + kx - pad];
-                        let done = (fast && crate::simd::axpy_row_fma(dst, gs, wgt))
-                            || crate::simd::axpy_row(true, dst, gs, wgt);
-                        if !done {
-                            for (d, &gv) in dst.iter_mut().zip(gs) {
-                                *d += wgt * gv;
+                        let xrow = iy as usize * w;
+                        for kx in (0..kw).rev() {
+                            let lo = pad.saturating_sub(kx);
+                            let hi = (w + pad).saturating_sub(kx).min(wo);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let wgt = k[(ch * kh + ky) * kw + kx];
+                            let gs = &go[grow + lo..grow + hi];
+                            let dst = &mut gxp[xrow + lo + kx - pad..xrow + hi + kx - pad];
+                            let done = (fast && crate::simd::axpy_row_fma(dst, gs, wgt))
+                                || crate::simd::axpy_row(true, dst, gs, wgt);
+                            if !done {
+                                for (d, &gv) in dst.iter_mut().zip(gs) {
+                                    *d += wgt * gv;
+                                }
                             }
                         }
                     }
                 }
+                return;
             }
-            return;
-        }
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let g = go[((b * c + ch) * ho + oy) * wo + ox];
-                if g == 0.0 {
-                    continue;
-                }
-                for ky in 0..kh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        gxp[iy as usize * w + ix as usize] += g * k[(ch * kh + ky) * kw + kx];
-                    }
-                }
-            }
-        }
-    });
-    crate::kernels::par_chunks(gw, kh * kw, threads, |ch, gwp| {
-        for b in 0..n {
             for oy in 0..ho {
                 for ox in 0..wo {
                     let g = go[((b * c + ch) * ho + oy) * wo + ox];
@@ -817,14 +799,41 @@ pub(crate) fn dwconv2d_backward_into(
                             if ix < 0 || ix >= w as isize {
                                 continue;
                             }
-                            let xi = ((b * c + ch) * h + iy as usize) * w + ix as usize;
-                            gwp[ky * kw + kx] += g * x[xi];
+                            gxp[iy as usize * w + ix as usize] += g * k[(ch * kh + ky) * kw + kx];
                         }
                     }
                 }
             }
-        }
-    });
+        });
+    }
+    if let Some(gw) = gw {
+        crate::kernels::par_chunks(gw, kh * kw, threads, |ch, gwp| {
+            for b in 0..n {
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let g = go[((b * c + ch) * ho + oy) * wo + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for ky in 0..kh {
+                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..kw {
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                let xi = ((b * c + ch) * h + iy as usize) * w + ix as usize;
+                                gwp[ky * kw + kx] += g * x[xi];
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
 }
 
 /// Reference depthwise forward pass: the naive serial loops, kept as the

@@ -8,21 +8,27 @@
 //!    forever. A mismatch means the byte-identical checkpoint invariant is
 //!    broken, not that the constants are stale.
 //! 2. **Thread-count invariance** — the same operations at 1, 2 and 4
-//!    threads must agree to the bit. Tests that mutate the process-wide
-//!    thread knob serialize through a mutex so they never observe each
-//!    other's setting.
+//!    threads must agree to the bit.
+//!
+//! Several tests flip the process-wide kernel knobs (thread count, SIMD
+//! dispatch, kernel mode), and a fingerprint computed while a sibling has
+//! the fast tier switched on would not match. So every test that computes
+//! or checks bits holds [`knobs`] for its whole body.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use lightnas_tensor::{
     conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, kernels, Conv2dSpec,
     Tensor,
 };
 
-/// Serializes tests that touch the global thread knob.
-fn knob_lock() -> &'static Mutex<()> {
+/// Serializes the tests that read or flip the process-wide kernel knobs.
+/// A test that panics while holding it does not poison the others.
+fn knobs() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn fnv(data: &[f32]) -> u64 {
@@ -52,6 +58,7 @@ fn conv_operands() -> (Tensor, Tensor) {
 
 #[test]
 fn matmul_reproduces_pre_rewrite_bits() {
+    let _guard = knobs();
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
     let b = Tensor::uniform(&[53, 29], -1.0, 1.0, 102);
     assert_eq!(fnv(a.matmul(&b).as_slice()), 0xc0cf_2e2b_448b_1ec1);
@@ -62,6 +69,7 @@ fn matmul_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_forward_reproduces_pre_rewrite_bits() {
+    let _guard = knobs();
     let (x, w) = conv_operands();
     // The naive reference and the im2col path produced identical bits even
     // before the rewrite; both entry points must still land on them.
@@ -77,6 +85,7 @@ fn conv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn dwconv_forward_reproduces_pre_rewrite_bits() {
+    let _guard = knobs();
     let (x, _) = conv_operands();
     let dw = Tensor::uniform(&[8, 1, 3, 3], -0.5, 0.5, 107);
     assert_eq!(
@@ -87,6 +96,7 @@ fn dwconv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_backward_reproduces_pre_rewrite_bits() {
+    let _guard = knobs();
     let (x, w) = conv_operands();
     let g = Tensor::uniform(&[2, 16, 14, 14], -1.0, 1.0, 108);
     let (gx, gw) = conv2d_backward(&x, &w, spec311(), &g);
@@ -97,7 +107,7 @@ fn conv_backward_reproduces_pre_rewrite_bits() {
 /// Runs `f` at 1, 2 and 4 kernel threads and asserts all three outputs hash
 /// identically; returns the hash.
 fn hash_across_thread_counts(f: impl Fn() -> u64) -> u64 {
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     let before = kernels::num_threads();
     let mut hashes = Vec::new();
     for t in [1usize, 2, 4] {
@@ -182,7 +192,7 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
     // Resizing the persistent worker pool (4 → 1 → 4) tears workers down and
     // respawns them; every configuration must produce the same bytes, and
     // returning to a previous size must too (the pool holds no stale state).
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     let before = kernels::num_threads();
     let x = Tensor::uniform(&[4, 16, 28, 28], -1.0, 1.0, 301);
     let w = Tensor::uniform(&[32, 16, 3, 3], -0.5, 0.5, 302);
@@ -210,6 +220,9 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
 fn reused_graph_matches_fresh_graph_over_many_steps() {
     // 100 training steps on one reset-reused tape must produce exactly the
     // bytes of 100 steps on fresh tapes: pooled buffers carry no history.
+    // Holds the knob lock: a sibling flipping the kernel mode between the
+    // reused and the fresh pass would change the bits of one of them.
+    let _guard = knobs();
     use lightnas_tensor::Graph;
     let spec = spec311();
     let steps = 100;
@@ -254,7 +267,7 @@ fn simd_microkernel_matches_portable_path_bitwise() {
     // The AVX2 micro-tile keeps the scalar accumulation order, so forcing
     // the portable path must not change a single bit. On machines without
     // AVX2 both runs take the portable path and the test is vacuous.
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     let a = Tensor::uniform(&[96, 128], -1.0, 1.0, 501);
     let b = Tensor::uniform(&[128, 80], -1.0, 1.0, 502);
     let x = Tensor::uniform(&[2, 8, 14, 14], -1.0, 1.0, 503);
@@ -277,7 +290,7 @@ fn simd_microkernel_matches_portable_path_bitwise() {
 
 #[test]
 fn env_knob_parses_and_applies() {
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     let before = kernels::num_threads();
     std::env::set_var(kernels::THREADS_ENV, "3");
     assert_eq!(kernels::init_threads_from_env(), 3);
@@ -290,6 +303,7 @@ fn env_knob_parses_and_applies() {
 
 #[test]
 fn default_kernel_mode_is_strict() {
+    let _guard = knobs();
     // The two-tier contract: fast mode is *opt-in*. A process that never
     // touches the mode knob (this test binary doesn't) must run strict and
     // keep reproducing the pre-rewrite fingerprints above — that is the
@@ -303,7 +317,7 @@ fn default_kernel_mode_is_strict() {
 
 #[test]
 fn mode_env_knob_parses_and_applies() {
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     use lightnas_tensor::{init_mode_from_env, kernel_mode, set_kernel_mode, KernelMode, MODE_ENV};
     let before = kernel_mode();
     std::env::set_var(MODE_ENV, "fast");
@@ -325,7 +339,7 @@ fn strict_bits_survive_a_fast_mode_excursion() {
     // Flipping to fast and back must leave no residue in the strict tier:
     // same fingerprint before, during-strict, and after. (The fast tile
     // autotune cache is fast-tier-only state and must not leak.)
-    let _guard = knob_lock().lock().unwrap();
+    let _guard = knobs();
     use lightnas_tensor::{set_kernel_mode, KernelMode};
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
     let b = Tensor::uniform(&[53, 29], -1.0, 1.0, 102);

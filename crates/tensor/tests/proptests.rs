@@ -252,3 +252,98 @@ proptest! {
         assert_bits_eq(&gw, &gw_ref)?;
     }
 }
+
+// ---------------------------------------------------------------------------
+// Zero-skipping GEMM path: a mostly-zero left operand (the paper's one-hot
+// `ᾱ` rows, ReLU-sparse activations) takes a compressed row-streaming
+// kernel in `matmul_into` and `matmul_tn_into`. It must agree with the
+// naive reference to 0 ULP, including `-0.0` entries, negative values and
+// all-zero rows, and whichever side of the density switch a case lands on.
+// ---------------------------------------------------------------------------
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A `rows × groups·group` left operand. `mode` 0: one-hot — one non-zero
+/// per group of `group` columns, like the `ᾱ` encoding; 1: mixed density —
+/// each row draws its own density from 0 (an all-zero row) to one in two;
+/// 2: all zero. Zero entries are `+0.0` or `-0.0`, non-zeros may be
+/// negative.
+fn sparse_lhs(rows: usize, groups: usize, group: usize, mode: u8, seed: u64) -> Tensor {
+    let cols = groups * group;
+    let mut s = seed;
+    let mut zero = |s: &mut u64| if splitmix(s) % 3 == 0 { -0.0 } else { 0.0 };
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        let density = [0u64, 5, 10, 20, 50][(splitmix(&mut s) % 5) as usize];
+        for gi in 0..groups {
+            let hot = (splitmix(&mut s) % group as u64) as usize;
+            for j in 0..group {
+                let nonzero = match mode {
+                    0 => j == hot,
+                    1 => splitmix(&mut s) % 100 < density,
+                    _ => false,
+                };
+                let v = if nonzero {
+                    let mag = if mode == 0 && gi % 2 == 0 {
+                        1.0
+                    } else {
+                        (splitmix(&mut s) % 1000) as f32 / 250.0 + 0.001
+                    };
+                    if splitmix(&mut s) % 4 == 0 {
+                        -mag
+                    } else {
+                        mag
+                    }
+                } else {
+                    zero(&mut s)
+                };
+                data.push(v);
+            }
+        }
+    }
+    Tensor::from_vec(data, &[rows, cols])
+}
+
+/// A dense right operand with a few `-0.0` entries.
+fn dense_rhs(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut t = Tensor::uniform(&[rows, cols], -2.0, 2.0, seed);
+    for v in t.as_mut_slice().iter_mut().step_by(7) {
+        *v = -0.0;
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sparse_lhs_matmul_matches_reference_bits(
+        m in 1usize..48, groups in 1usize..12, group in 2usize..12, n in 1usize..140,
+        mode in 0u8..3, seed in 1u64..1_000_000,
+    ) {
+        let a = sparse_lhs(m, groups, group, mode, seed);
+        let b = dense_rhs(groups * group, n, seed.wrapping_add(1));
+        assert_bits_eq(&a.matmul(&b), &lightnas_tensor::matmul_ref(&a, &b))?;
+    }
+
+    #[test]
+    fn sparse_lhs_matmul_tn_matches_reference_bits(
+        d in 1usize..48, groups in 1usize..12, group in 2usize..12, n in 1usize..140,
+        mode in 0u8..3, seed in 1u64..1_000_000,
+    ) {
+        // `a` is stored [d, m] like an input batch; the product is aᵀ · b.
+        let a = sparse_lhs(d, groups, group, mode, seed);
+        let m = groups * group;
+        let b = dense_rhs(d, n, seed.wrapping_add(1));
+        let mut got = vec![f32::NAN; m * n];
+        lightnas_tensor::kernels::matmul_tn_into(a.as_slice(), b.as_slice(), d, m, n, &mut got);
+        let got = Tensor::from_vec(got, &[m, n]);
+        assert_bits_eq(&got, &lightnas_tensor::matmul_ref(&a.transpose(), &b))?;
+    }
+}
