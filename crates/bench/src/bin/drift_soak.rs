@@ -6,7 +6,7 @@
 //!
 //! * **A — stationary warm-up.** Honest model, honest board. The drift
 //!   monitor must stay quiet: zero staleness flags.
-//! * **B — drift burst.** A `ChaosPlan` `DriftBurst` steps the device's
+//! * **B — drift burst.** A scheduled `DriftBurst` fault steps the device's
 //!   latency surface ×1.35 (thermal throttle). The service must *detect*
 //!   staleness from windowed residuals, *retrain* a shadow on the live
 //!   window, *validate* it on paired traffic, and *promote* it — and the
@@ -37,10 +37,10 @@ use std::time::{Duration, Instant};
 use lightnas_bench::{render_table, Harness};
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
-use lightnas_runtime::Telemetry;
+use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
     audit_is_well_formed, spearman, AdaptConfig, AdaptEvent, AdaptFault, AdaptFaultKind,
-    AdaptStatus, AdaptationController, ChaosPlan, Clock, ModelSlot, PredictorService, Request,
+    AdaptStatus, AdaptationController, Clock, ModelSlot, PredictorService, Request,
     ServiceConfig, VirtualClock,
 };
 
@@ -152,7 +152,7 @@ fn main() -> ExitCode {
         promote_margin: 0.85,
         ..AdaptConfig::default()
     };
-    let ctl = AdaptationController::new(&slot, &clock, adapt_cfg, trainer)
+    let ctl = AdaptationController::new(&slot, &clock, adapt_cfg)
         .with_breaker(svc.breaker())
         .with_status(&status);
     let mut ctl = match telemetry.as_ref() {
@@ -163,7 +163,7 @@ fn main() -> ExitCode {
     let c_start = WARMUP + DRIFT_PHASE;
     let d_start = c_start + STALE_PHASE;
     let total = d_start + DEPLOY_PHASE;
-    let plan = ChaosPlan::none().with_adapt_faults(vec![
+    let plan = FaultSchedule::new(vec![
         AdaptFault {
             at_sample: WARMUP,
             kind: AdaptFaultKind::DriftBurst { scale: DRIFT_SCALE },
@@ -195,8 +195,8 @@ fn main() -> ExitCode {
     let mut b_eval: Option<(f64, f64, f64)> = None; // (promoted, oracle, spearman)
 
     for i in 0..total {
-        for kind in plan.take_adapt(i) {
-            match kind {
+        for fault in plan.take_all(|f| f.at_sample == i) {
+            match fault.kind {
                 AdaptFaultKind::DriftBurst { scale } => stream.apply_burst(clock.now(), scale),
                 // Each tick consumes two slot predictions (serve + ingest),
                 // so a tick budget is twice that many predictions.
@@ -211,6 +211,11 @@ fn main() -> ExitCode {
             .expect("soak never exceeds the admission watermark");
         svc.pump();
         ctl.ingest(&s.encoding, s.observed_ms);
+        // A flag parks the controller: fit the shadow on the same tick.
+        if ctl.awaiting_retrain() {
+            let (encs, obs) = ctl.retrain_window();
+            ctl.install_shadow(slot.with_current(|m| trainer(m, &encs, &obs)));
+        }
         clock.advance(TICK);
 
         if i + 1 == WARMUP {

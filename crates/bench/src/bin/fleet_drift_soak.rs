@@ -6,8 +6,8 @@
 //! correlated and retraining is a shared resource. Every device serves a
 //! [`TransferredPredictor`] — the proxy's MLP through a [`MonotoneMap`]
 //! (the proxy itself through the identity map) — and one [`FleetAdaptation`]
-//! drives all five deferred controllers against a scripted fleet
-//! [`ChaosPlan`] on a shared [`VirtualClock`]:
+//! drives all five device controllers against a scripted
+//! [`FaultSchedule`] of [`FleetFault`]s on a shared [`VirtualClock`]:
 //!
 //! * **A — stationary warm-up.** All five monitors self-calibrate; zero
 //!   staleness flags anywhere.
@@ -48,15 +48,14 @@ use std::time::{Duration, Instant};
 use lightnas_bench::{render_table, Harness};
 use lightnas_fleet::{
     fleet_audit_is_well_formed, predictor_rmse, spearman, transfer_predictor, DeviceFleet,
-    DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, MonotoneMap, TransferOptions,
-    TransferredPredictor,
+    DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind,
+    MonotoneMap, TransferOptions, TransferredPredictor,
 };
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig};
-use lightnas_runtime::Telemetry;
+use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
-    AdaptConfig, AdaptEvent, BreakerState, ChaosPlan, Clock, FleetFault, FleetFaultKind,
-    HealthSnapshot, ModelSlot, VirtualClock,
+    AdaptConfig, AdaptEvent, BreakerState, Clock, HealthSnapshot, ModelSlot, VirtualClock,
 };
 
 /// The fleet's serving-model type: one shape for proxy and targets alike.
@@ -300,7 +299,7 @@ fn run_soak(
     let b_start = WARMUP;
     let c_start = WARMUP + B_PHASE;
     let d_start = c_start + C_PHASE;
-    let plan = ChaosPlan::none().with_fleet_faults(vec![
+    let plan = FaultSchedule::new(vec![
         FleetFault {
             at_sample: b_start,
             kind: FleetFaultKind::CorrelatedDriftBurst {
@@ -360,8 +359,8 @@ fn run_soak(
         .collect();
 
     for i in 0..total {
-        for kind in plan.take_fleet(i) {
-            match kind {
+        for fault in plan.take_all(|f| f.at_sample == i) {
+            match fault.kind {
                 FleetFaultKind::CorrelatedDriftBurst { device_mask, scale } => {
                     for (d, stream) in streams.iter_mut().enumerate() {
                         if device_mask & (1 << d) != 0 {

@@ -13,11 +13,10 @@
 //!   not spawn N simultaneous retrains (the thundering herd); they queue
 //!   against a bounded worker pool and are admitted under a retrain budget.
 //!
-//! [`FleetAdaptation`] owns one *deferred* controller per device: a
-//! staleness flag parks the device in `awaiting_retrain` instead of
-//! training inline, and this layer snapshots the device's sample window,
-//! trains the shadow on the shared [`JobScheduler`] pool, and hands it back
-//! through `install_shadow`. Everything downstream of the handoff — paired
+//! [`FleetAdaptation`] owns one controller per device: a staleness flag
+//! parks the device in `awaiting_retrain`, and this layer snapshots the
+//! device's sample window, trains the shadow on the shared [`JobScheduler`]
+//! pool, and hands it back through `install_shadow`. Everything downstream of the handoff — paired
 //! validation, promotion, probation, rollback — is the unchanged PR 7
 //! machinery, per device: **a shadow still never serves before its
 //! verdict, and one device's rollback never touches another's slot.**
@@ -55,6 +54,55 @@ use lightnas_serve::{
 
 fn us(d: std::time::Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// One way an entire fleet is attacked on a scheduled tick — scripted with a
+/// [`FaultSchedule<FleetFault>`](lightnas_runtime::FaultSchedule) and claimed
+/// per tick with `take_all(|f| f.at_sample == tick)`, so same-tick faults
+/// fire in insertion order.
+///
+/// Fleet faults address devices by their index in the fleet registry
+/// (e.g. [`DeviceFleet::standard`](crate::DeviceFleet::standard) order), not
+/// by name — the chaos schedule must stay valid even when a device is
+/// renamed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FleetFaultKind {
+    /// A correlated drift event: every device whose index bit is set in
+    /// `device_mask` steps its latency surface by `scale` from this tick on
+    /// (a heat wave hitting the whole rack, a fleet-wide DVFS policy push).
+    CorrelatedDriftBurst {
+        /// Bit `i` set ⇒ fleet device `i` drifts.
+        device_mask: u64,
+        /// Multiplicative latency factor applied to each masked device.
+        scale: f64,
+    },
+    /// The shared retrain pool is starved (workers seized by a competing
+    /// tenant): zero retrain admissions for `ticks` ticks — see
+    /// [`FleetAdaptation::starve_pool`]. Flagged devices queue and must
+    /// neither deadlock nor serve an unvalidated shadow.
+    PoolStarvation {
+        /// How many ticks the pool admits nothing.
+        ticks: u64,
+    },
+    /// Device `device`'s *next* promotion deploys corrupted (predictions
+    /// gain `bias_ms`) — see [`FleetAdaptation::arm_bad_deploy`]; scheduled
+    /// to land while another device is mid-promotion, proving per-device
+    /// rollback independence.
+    BadDeploy {
+        /// Fleet index of the sabotaged device.
+        device: u32,
+        /// Additive bias on the deployed generation's predictions, ms.
+        bias_ms: f64,
+    },
+}
+
+/// A fleet fault bound to one tick.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetFault {
+    /// 0-based fleet tick this fires on.
+    pub at_sample: u64,
+    /// What happens.
+    pub kind: FleetFaultKind,
 }
 
 /// Fleet-level adaptation policy.
@@ -237,7 +285,7 @@ impl<'a, P: BatchPredictor + Clone + Send + Sync> FleetAdaptation<'a, P> {
         let n = slots.len();
         let controllers = slots
             .iter()
-            .map(|slot| AdaptationController::deferred(slot, clock, options.adapt.clone()))
+            .map(|slot| AdaptationController::new(slot, clock, options.adapt.clone()))
             .collect();
         let pool = JobScheduler::new(options.max_concurrent_retrains.max(1));
         Self {

@@ -17,8 +17,8 @@
 //! * [`FleetSearch`] — one λ-driven constrained search per (device,
 //!   target) pair through the runtime's scheduler/supervisor machinery,
 //!   reduced to a per-device Pareto front over (true latency, top-1).
-//! * [`FleetAdaptation`] — fleet-wide drift survival: one deferred
-//!   adaptation loop per device over a shared bounded retrain pool, with
+//! * [`FleetAdaptation`] — fleet-wide drift survival: one adaptation
+//!   loop per device over a shared bounded retrain pool, with
 //!   correlated-drift warm starts through the transfer path and a typed
 //!   cross-device audit ([`FleetAdaptEvent`]).
 //!
@@ -35,7 +35,7 @@ mod transfer;
 
 pub use adapt::{
     fleet_audit_is_well_formed, ColdTrainer, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
-    WarmTrainer,
+    FleetFault, FleetFaultKind, WarmTrainer,
 };
 pub use search::{quantile_targets, DeviceFront, FleetPoint, FleetSearch};
 pub use spec::{DeviceClass, DeviceFleet, DeviceSpec};

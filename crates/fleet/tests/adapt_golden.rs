@@ -11,11 +11,12 @@
 use std::time::Duration;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
-use lightnas_runtime::Telemetry;
-use lightnas_serve::{AdaptConfig, ChaosPlan, FleetFault, FleetFaultKind, ModelSlot, VirtualClock};
+use lightnas_runtime::{FaultSchedule, Telemetry};
+use lightnas_serve::{AdaptConfig, ModelSlot, VirtualClock};
 
 use lightnas_fleet::{
-    fleet_audit_is_well_formed, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
+    fleet_audit_is_well_formed, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault,
+    FleetFaultKind,
 };
 
 /// FNV-1a 64 over the Debug-rendered fleet audit, the final slot
@@ -94,7 +95,7 @@ fn run_hash() -> (u64, Vec<FleetAdaptEvent>) {
         },
     )
     .with_telemetry(&telemetry);
-    let plan = ChaosPlan::none().with_fleet_faults(vec![
+    let plan = FaultSchedule::new(vec![
         FleetFault {
             at_sample: 40,
             kind: FleetFaultKind::CorrelatedDriftBurst {
@@ -130,8 +131,8 @@ fn run_hash() -> (u64, Vec<FleetAdaptEvent>) {
     ]);
     let mut scales = [10.0, 20.0, 30.0];
     for t in 0..400u64 {
-        for kind in plan.take_fleet(t) {
-            match kind {
+        for fault in plan.take_all(|f| f.at_sample == t) {
+            match fault.kind {
                 FleetFaultKind::CorrelatedDriftBurst { device_mask, scale } => {
                     for (d, s) in scales.iter_mut().enumerate() {
                         if device_mask & (1 << d) != 0 {

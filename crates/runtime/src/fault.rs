@@ -81,13 +81,6 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
-/// A deterministic schedule of one-shot faults for one sweep run.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-    fired: Vec<AtomicBool>,
-}
-
 /// splitmix64 — the standard seeding PRNG; enough structure to scatter
 /// faults over a grid without pulling a rand dependency into the runtime.
 /// Public because the serving layer's chaos plans seed from it too.
@@ -99,18 +92,74 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl FaultPlan {
-    /// The empty plan: a supervised run with nothing injected.
+/// A reproducible schedule of one-shot faults — the one mechanism behind
+/// the runtime's [`FaultPlan`], the serving layer's chaos plans, and the
+/// fleet's fault script.
+///
+/// Each listed fault fires at most once: a claim atomically flips its flag,
+/// so exactly one caller wins it, and a retry after the fault finds a
+/// healthy system. Claims scan the list in order, so faults matching the
+/// same claim (same tick, same job) fire in list order — callers that want
+/// insertion order to break ties simply keep the list as written. The
+/// fault-kind enums live beside the code each one attacks; this type only
+/// schedules them.
+#[derive(Debug)]
+pub struct FaultSchedule<F> {
+    faults: Vec<F>,
+    fired: Vec<AtomicBool>,
+}
+
+impl<F: Copy> FaultSchedule<F> {
+    /// The empty schedule: nothing ever fires.
     pub fn none() -> Self {
-        Self::default()
+        Self::new(Vec::new())
     }
 
-    /// A plan firing exactly the given faults (each at most once).
-    pub fn new(faults: Vec<Fault>) -> Self {
+    /// A schedule firing exactly the given faults, each at most once, in
+    /// list order among faults that match the same claim.
+    pub fn new(faults: Vec<F>) -> Self {
         let fired = faults.iter().map(|_| AtomicBool::new(false)).collect();
         Self { faults, fired }
     }
 
+    /// The scheduled faults, in list order.
+    pub fn faults(&self) -> &[F] {
+        &self.faults
+    }
+
+    /// How many faults have fired so far.
+    pub fn fired(&self) -> usize {
+        self.fired
+            .iter()
+            .filter(|f| f.load(Ordering::Relaxed))
+            .count()
+    }
+
+    /// Claims the first unfired fault matching `pred`; at most one caller
+    /// wins each fault. Allocation-free, so it can sit on a hot path.
+    pub fn take(&self, pred: impl Fn(&F) -> bool) -> Option<F> {
+        self.faults
+            .iter()
+            .zip(&self.fired)
+            .find(|(fault, fired)| {
+                pred(fault)
+                    && fired
+                        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+            })
+            .map(|(fault, _)| *fault)
+    }
+
+    /// Claims every unfired fault matching `pred`, in list order.
+    pub fn take_all(&self, pred: impl Fn(&F) -> bool) -> Vec<F> {
+        std::iter::from_fn(|| self.take(&pred)).collect()
+    }
+}
+
+/// A deterministic schedule of one-shot faults for one sweep run.
+pub type FaultPlan = FaultSchedule<Fault>;
+
+impl FaultSchedule<Fault> {
     /// A seeded plan over a `jobs × epochs` sweep covering all three fault
     /// classes: one mid-run panic, one checkpoint corruption followed by a
     /// panic (so the corrupted file actually gets *read*), and one early
@@ -177,33 +226,6 @@ impl FaultPlan {
         ])
     }
 
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// How many faults have fired so far.
-    pub fn fired(&self) -> usize {
-        self.fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Claims an unfired fault matching `pred`; at most one caller wins.
-    fn take(&self, pred: impl Fn(&Fault) -> bool) -> Option<Fault> {
-        for (fault, fired) in self.faults.iter().zip(&self.fired) {
-            if pred(fault)
-                && fired
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return Some(*fault);
-            }
-        }
-        None
-    }
-
     /// Fires a pending panic for `job` at `epoch`, if scheduled.
     pub fn take_panic(&self, job: usize, epoch: usize) -> Option<Fault> {
         self.take(|f| f.job == job && matches!(f.kind, FaultKind::Panic { epoch: e } if e == epoch))
@@ -265,8 +287,64 @@ pub fn apply_corruption(path: &Path, mode: CorruptionMode) {
 mod tests {
     use super::*;
 
+    /// A tick-keyed fault, standing in for the serving layer's call faults
+    /// and the adaptation and fleet tick faults.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Tick {
+        at: u64,
+        id: char,
+    }
+
+    fn ticks(spec: &[(u64, char)]) -> FaultSchedule<Tick> {
+        FaultSchedule::new(spec.iter().map(|&(at, id)| Tick { at, id }).collect())
+    }
+
+    fn fired_at(schedule: &FaultSchedule<Tick>, at: u64) -> String {
+        schedule
+            .take_all(|f| f.at == at)
+            .iter()
+            .map(|f| f.id)
+            .collect()
+    }
+
     #[test]
-    fn faults_fire_exactly_once() {
+    fn schedule_claims_are_one_shot_and_keep_list_order() {
+        // (schedule, claims in order, ids each claim fires). Same-tick
+        // faults fire in insertion order — not kind, magnitude, or id
+        // order — and a claimed tick never re-fires.
+        let cases: &[(&[(u64, char)], &[(u64, &str)])] = &[
+            // adaptation faults: three on tick 7, listed out of tick order.
+            (
+                &[(7, 's'), (3, 'd'), (7, 'b'), (7, 'a')],
+                &[(0, ""), (3, "d"), (7, "sba"), (7, ""), (3, "")],
+            ),
+            // fleet faults: a bad deploy listed before a same-tick burst.
+            (
+                &[(96, 'x'), (96, 'c'), (40, 'p')],
+                &[(0, ""), (40, "p"), (96, "xc"), (96, "")],
+            ),
+            // the empty schedule.
+            (&[], &[(0, ""), (1, "")]),
+        ];
+        for (spec, claims) in cases {
+            let schedule = ticks(spec);
+            for (at, want) in *claims {
+                assert_eq!(fired_at(&schedule, *at), *want, "{spec:?} at {at}");
+            }
+            assert_eq!(schedule.fired(), spec.len(), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn a_single_claim_fires_only_the_first_match() {
+        // Serving call faults: two faults on call 1 — a call claims one,
+        // so only the first listed fires on it.
+        let schedule = ticks(&[(1, 'n'), (2, 's'), (1, 'p')]);
+        assert_eq!(schedule.take(|f| f.at == 0), None);
+        assert_eq!(schedule.take(|f| f.at == 1).map(|f| f.id), Some('n'));
+        assert_eq!(schedule.take(|f| f.at == 2).map(|f| f.id), Some('s'));
+        assert_eq!(schedule.fired(), 2);
+        // The runtime's job/epoch matching on the same mechanism.
         let plan = FaultPlan::new(vec![Fault {
             job: 1,
             kind: FaultKind::Panic { epoch: 3 },
@@ -276,6 +354,14 @@ mod tests {
         assert!(plan.take_panic(1, 3).is_some());
         assert!(plan.take_panic(1, 3).is_none(), "one-shot");
         assert_eq!(plan.fired(), 1);
+    }
+
+    #[test]
+    fn an_empty_claim_does_not_allocate() {
+        let schedule: FaultSchedule<Tick> = FaultSchedule::none();
+        assert_eq!(schedule.take_all(|_| true).capacity(), 0);
+        let schedule = ticks(&[(5, 'a')]);
+        assert_eq!(schedule.take_all(|f| f.at == 4).capacity(), 0);
     }
 
     #[test]

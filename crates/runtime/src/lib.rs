@@ -71,7 +71,9 @@ mod sweep;
 mod telemetry;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use fault::{apply_corruption, splitmix64, CorruptionMode, Fault, FaultKind, FaultPlan};
+pub use fault::{
+    apply_corruption, splitmix64, CorruptionMode, Fault, FaultKind, FaultPlan, FaultSchedule,
+};
 pub use lightnas::DivergencePolicy;
 pub use lightnas_predictor::{CacheSnapshot, CacheStats, CachedPredictor, ShardOccupancy};
 pub use scheduler::{panic_message, JobPanic, JobScheduler};

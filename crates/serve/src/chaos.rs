@@ -1,23 +1,24 @@
 //! Deterministic chaos for the serving layer.
 //!
-//! Same philosophy as the runtime's `FaultPlan` (which this extends in
-//! spirit and seeds from the same `splitmix64`): a robustness claim is only
-//! testable if the failures are a *reproducible schedule*, not a dice roll
-//! per run. A [`ChaosPlan`] maps primary-predictor **call indices** to
-//! faults; [`ChaosPredictor`] wraps the real primary and misbehaves exactly
-//! on schedule — NaN answers, panics mid-query, slow responses that burn
-//! service-clock time — while the service under test stays completely
-//! unaware it is being tested.
+//! Same mechanism as the runtime's `FaultPlan` — both are
+//! [`FaultSchedule`]s, seeded from the same `splitmix64`: a robustness claim
+//! is only testable if the failures are a *reproducible schedule*, not a
+//! dice roll per run. A [`ChaosPlan`] maps primary-predictor **call
+//! indices** to faults; [`ChaosPredictor`] wraps the real primary and
+//! misbehaves exactly on schedule — NaN answers, panics mid-query, slow
+//! responses that burn service-clock time — while the service under test
+//! stays completely unaware it is being tested. [`AdaptFault`]s script the
+//! adaptation loop's failure modes on a `FaultSchedule` of their own.
 //!
 //! Faults are one-shot per call index (atomically claimed), so retries hit
 //! a *healthy* primary on their next call — which is precisely what lets
 //! tests distinguish "retry budget works" from "fault never happened".
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
-use lightnas_runtime::splitmix64;
+use lightnas_runtime::{splitmix64, FaultSchedule};
 
 use crate::clock::Clock;
 
@@ -51,7 +52,11 @@ pub struct ServeFault {
 /// the drift/promote/rollback machinery exists to survive. They are keyed by
 /// **sample index** (the adaptation loop's virtual-clock tick), not primary
 /// call index, because the loop observes one live sample per tick regardless
-/// of how many predictor calls that tick costs.
+/// of how many predictor calls that tick costs. Script them with a
+/// [`FaultSchedule<AdaptFault>`] and claim each tick with
+/// `take_all(|f| f.at_sample == tick)`: same-tick faults fire in insertion
+/// order (a tick is one instant on a virtual clock, so only insertion order
+/// can break ties deterministically).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdaptFaultKind {
     /// The device's latency surface steps by `scale` from this tick on
@@ -89,114 +94,27 @@ pub struct AdaptFault {
     pub kind: AdaptFaultKind,
 }
 
-/// One way an entire *fleet* is attacked on a scheduled tick.
-///
-/// Fleet faults address devices by their index in the fleet registry
-/// (e.g. [`DeviceFleet::standard`] order), not by name — the chaos schedule
-/// must stay valid even when a device is renamed.
-///
-/// [`DeviceFleet::standard`]: https://docs.rs/lightnas-fleet
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FleetFaultKind {
-    /// A correlated drift event: every device whose index bit is set in
-    /// `device_mask` steps its latency surface by `scale` from this tick on
-    /// (a heat wave hitting the whole rack, a fleet-wide DVFS policy push).
-    CorrelatedDriftBurst {
-        /// Bit `i` set ⇒ fleet device `i` drifts.
-        device_mask: u64,
-        /// Multiplicative latency factor applied to each masked device.
-        scale: f64,
-    },
-    /// The shared retrain pool is starved (workers seized by a competing
-    /// tenant): zero retrain admissions for `ticks` ticks. Flagged devices
-    /// queue and must neither deadlock nor serve an unvalidated shadow.
-    PoolStarvation {
-        /// How many ticks the pool admits nothing.
-        ticks: u64,
-    },
-    /// Device `device`'s *next* promotion deploys corrupted (predictions
-    /// gain `bias_ms`) — scheduled to land while another device is mid-
-    /// promotion, proving per-device rollback independence.
-    BadDeploy {
-        /// Fleet index of the sabotaged device.
-        device: u32,
-        /// Additive bias on the deployed generation's predictions, ms.
-        bias_ms: f64,
-    },
-}
-
-/// A fleet fault bound to one tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetFault {
-    /// 0-based fleet tick this fires on.
-    pub at_sample: u64,
-    /// What happens.
-    pub kind: FleetFaultKind,
-}
-
-/// A reproducible, one-shot schedule of serving faults.
-#[derive(Debug, Default)]
+/// A reproducible, one-shot schedule of serving faults: at most one fault
+/// per primary call index.
+#[derive(Debug)]
 pub struct ChaosPlan {
-    faults: Vec<ServeFault>,
-    fired: Vec<AtomicBool>,
-    adapt_faults: Vec<AdaptFault>,
-    adapt_fired: Vec<AtomicBool>,
-    fleet_faults: Vec<FleetFault>,
-    fleet_fired: Vec<AtomicBool>,
+    schedule: FaultSchedule<ServeFault>,
 }
 
 impl ChaosPlan {
     /// The empty plan: a perfectly healthy primary.
     pub fn none() -> Self {
-        Self::default()
+        Self::new(Vec::new())
     }
 
-    /// A plan firing exactly the given faults, each at most once.
+    /// A plan firing exactly the given faults, each at most once, sorted by
+    /// call index; when several name the same call, the first listed wins.
     pub fn new(mut faults: Vec<ServeFault>) -> Self {
         faults.sort_by_key(|f| f.call);
         faults.dedup_by_key(|f| f.call);
-        let fired = faults.iter().map(|_| AtomicBool::new(false)).collect();
         Self {
-            faults,
-            fired,
-            ..Self::default()
+            schedule: FaultSchedule::new(faults),
         }
-    }
-
-    /// Adds tick-scheduled adaptation faults to the plan.
-    ///
-    /// Unlike call-indexed faults (dedup'd — one per call), several
-    /// adaptation faults may share a tick, and they fire in **insertion
-    /// order** within it: the sort below is stable and keys on the tick
-    /// only. (The first cut of this schedule sorted by `(tick, kind
-    /// discriminant)`, so a same-tick `DriftBurst` + `BadDeploy` pair fired
-    /// in kind order on one platform and insertion order after a refactor —
-    /// the byte-identity soak caught it; the regression test now pins
-    /// insertion order.)
-    pub fn with_adapt_faults(mut self, faults: Vec<AdaptFault>) -> Self {
-        self.adapt_faults = faults;
-        self.adapt_faults.sort_by_key(|f| f.at_sample);
-        self.adapt_fired = self
-            .adapt_faults
-            .iter()
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        self
-    }
-
-    /// Adds tick-scheduled fleet faults to the plan. Same ordering contract
-    /// as [`with_adapt_faults`](Self::with_adapt_faults): the sort is stable
-    /// and keys on the tick only, so same-tick faults fire in insertion
-    /// order.
-    pub fn with_fleet_faults(mut self, faults: Vec<FleetFault>) -> Self {
-        self.fleet_faults = faults;
-        self.fleet_faults.sort_by_key(|f| f.at_sample);
-        self.fleet_fired = self
-            .fleet_faults
-            .iter()
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        self
     }
 
     /// A seeded plan over roughly `calls` primary calls, covering all three
@@ -241,91 +159,17 @@ impl ChaosPlan {
 
     /// The scheduled faults, sorted by call index.
     pub fn faults(&self) -> &[ServeFault] {
-        &self.faults
+        self.schedule.faults()
     }
 
     /// How many faults have fired so far.
     pub fn fired(&self) -> usize {
-        self.fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
+        self.schedule.fired()
     }
 
     /// Claims the fault scheduled for `call`, at most once.
     pub fn take(&self, call: u64) -> Option<ServeFaultKind> {
-        let idx = self.faults.binary_search_by_key(&call, |f| f.call).ok()?;
-        self.fired[idx]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .ok()
-            .map(|_| self.faults[idx].kind)
-    }
-
-    /// The scheduled adaptation faults (tick order; same-tick faults in
-    /// insertion order).
-    pub fn adapt_faults(&self) -> &[AdaptFault] {
-        &self.adapt_faults
-    }
-
-    /// How many adaptation faults have fired so far.
-    pub fn adapt_fired(&self) -> usize {
-        self.adapt_fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Claims every adaptation fault scheduled for `sample`, each at most
-    /// once, **in insertion order** — the contract the one-shot/virtual-
-    /// clock regression test pins (a tick is one instant on a virtual
-    /// clock, so only insertion order can break ties deterministically).
-    pub fn take_adapt(&self, sample: u64) -> Vec<AdaptFaultKind> {
-        // Walk to the first fault at this tick (binary_search may land
-        // anywhere inside an equal run), then claim the run left to right.
-        let start = self.adapt_faults.partition_point(|f| f.at_sample < sample);
-        self.adapt_faults[start..]
-            .iter()
-            .take_while(|f| f.at_sample == sample)
-            .enumerate()
-            .filter_map(|(k, f)| {
-                self.adapt_fired[start + k]
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .ok()
-                    .map(|_| f.kind)
-            })
-            .collect()
-    }
-
-    /// The scheduled fleet faults (tick order; same-tick faults in
-    /// insertion order).
-    pub fn fleet_faults(&self) -> &[FleetFault] {
-        &self.fleet_faults
-    }
-
-    /// How many fleet faults have fired so far.
-    pub fn fleet_fired(&self) -> usize {
-        self.fleet_fired
-            .iter()
-            .filter(|f| f.load(Ordering::Relaxed))
-            .count()
-    }
-
-    /// Claims every fleet fault scheduled for `sample`, each at most once,
-    /// in insertion order — the same one-shot/virtual-clock contract as
-    /// [`take_adapt`](Self::take_adapt).
-    pub fn take_fleet(&self, sample: u64) -> Vec<FleetFaultKind> {
-        let start = self.fleet_faults.partition_point(|f| f.at_sample < sample);
-        self.fleet_faults[start..]
-            .iter()
-            .take_while(|f| f.at_sample == sample)
-            .enumerate()
-            .filter_map(|(k, f)| {
-                self.fleet_fired[start + k]
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .ok()
-                    .map(|_| f.kind)
-            })
-            .collect()
+        self.schedule.take(|f| f.call == call).map(|f| f.kind)
     }
 }
 
@@ -409,108 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn same_tick_adapt_faults_fire_in_insertion_order_exactly_once() {
-        // Regression: one-shot faults scheduled at the *same* virtual-clock
-        // tick must fire in insertion order (a tick is a single instant on
-        // a VirtualClock, so nothing else can order them deterministically).
-        // Insertion order here is deliberately NOT kind order or magnitude
-        // order.
-        let plan = ChaosPlan::none().with_adapt_faults(vec![
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::StalePredictor {
-                    bias_ms: 4.0,
-                    samples: 10,
-                },
-            },
-            AdaptFault {
-                at_sample: 3,
-                kind: AdaptFaultKind::DriftBurst { scale: 1.5 },
-            },
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::DriftBurst { scale: 1.2 },
-            },
-            AdaptFault {
-                at_sample: 7,
-                kind: AdaptFaultKind::BadDeploy { bias_ms: 9.0 },
-            },
-        ]);
-        assert!(plan.take_adapt(0).is_empty());
-        assert_eq!(
-            plan.take_adapt(3),
-            vec![AdaptFaultKind::DriftBurst { scale: 1.5 }]
-        );
-        assert_eq!(
-            plan.take_adapt(7),
-            vec![
-                AdaptFaultKind::StalePredictor {
-                    bias_ms: 4.0,
-                    samples: 10,
-                },
-                AdaptFaultKind::DriftBurst { scale: 1.2 },
-                AdaptFaultKind::BadDeploy { bias_ms: 9.0 },
-            ],
-            "same-tick faults must fire in insertion order"
-        );
-        assert!(
-            plan.take_adapt(7).is_empty(),
-            "one-shot: a tick never re-fires"
-        );
-        assert_eq!(plan.adapt_fired(), 4);
-        // Call-indexed faults are untouched by the adaptation schedule.
-        assert!(plan.faults().is_empty());
-    }
-
-    #[test]
-    fn fleet_faults_are_one_shot_and_insertion_ordered_like_adapt_faults() {
-        let plan = ChaosPlan::none().with_fleet_faults(vec![
-            FleetFault {
-                at_sample: 96,
-                kind: FleetFaultKind::BadDeploy {
-                    device: 4,
-                    bias_ms: 9.0,
-                },
-            },
-            FleetFault {
-                at_sample: 96,
-                kind: FleetFaultKind::CorrelatedDriftBurst {
-                    device_mask: 0b01001,
-                    scale: 1.35,
-                },
-            },
-            FleetFault {
-                at_sample: 40,
-                kind: FleetFaultKind::PoolStarvation { ticks: 32 },
-            },
-        ]);
-        assert!(plan.take_fleet(0).is_empty());
-        assert_eq!(
-            plan.take_fleet(40),
-            vec![FleetFaultKind::PoolStarvation { ticks: 32 }]
-        );
-        assert_eq!(
-            plan.take_fleet(96),
-            vec![
-                FleetFaultKind::BadDeploy {
-                    device: 4,
-                    bias_ms: 9.0,
-                },
-                FleetFaultKind::CorrelatedDriftBurst {
-                    device_mask: 0b01001,
-                    scale: 1.35,
-                },
-            ],
-            "same-tick fleet faults fire in insertion order"
-        );
-        assert!(plan.take_fleet(96).is_empty(), "one-shot per tick");
-        assert_eq!(plan.fleet_fired(), 3);
-        // The per-device and per-call schedules are untouched.
-        assert!(plan.faults().is_empty());
-        assert!(plan.adapt_faults().is_empty());
-    }
-
-    #[test]
     fn faults_fire_on_schedule_exactly_once() {
         let clock = VirtualClock::new();
         let plan = ChaosPlan::new(vec![
@@ -522,7 +264,13 @@ mod tests {
                 call: 2,
                 kind: ServeFaultKind::Slow { millis: 4 },
             },
+            // A second fault on call 1: the first listed wins.
+            ServeFault {
+                call: 1,
+                kind: ServeFaultKind::Panic,
+            },
         ]);
+        assert_eq!(plan.faults().len(), 2, "one fault per call");
         let chaos = ChaosPredictor::new(&Constant, &plan, &clock);
         assert_eq!(chaos.predict_encoding(&[]), 17.25, "call 0 is healthy");
         assert!(chaos.predict_encoding(&[]).is_nan(), "call 1 is the NaN");

@@ -15,7 +15,7 @@
 //!   [`SearchJob`](lightnas_runtime::SearchJob) sweeps from named tenants,
 //!   per-tenant [`TenantQuota`]s layered on the same admission watermarks
 //!   (typed, audited [`SearchServeError`] refusals), executed on the
-//!   runtime scheduler over one shared **sharded** predictor cache — every
+//!   runtime scheduler over one shared predictor cache — every
 //!   tenant's results byte-identical to a private serial run (DESIGN.md
 //!   §16).
 //! * [`CircuitBreaker`] — Closed → Open → HalfOpen guarding of the
@@ -26,10 +26,10 @@
 //!   service is a pure function of the request sequence, which is how the
 //!   chaos soak asserts byte-identical telemetry across same-seed runs.
 //! * [`ChaosPlan`] / [`ChaosPredictor`] — seeded, one-shot fault schedules
-//!   (NaN bursts, panics, slow responses) in the same idiom as the
-//!   runtime's `FaultPlan`; [`AdaptFault`]s additionally script drift
-//!   bursts, stale predictors, and bad deploys against the adaptation
-//!   layer.
+//!   (NaN bursts, panics, slow responses) on the runtime's
+//!   [`FaultSchedule`](lightnas_runtime::FaultSchedule); [`AdaptFault`]s
+//!   script drift bursts, stale predictors, and bad deploys against the
+//!   adaptation layer on the same schedule type.
 //! * [`ServingTier`] — deploy-time choice of kernel tier and weight
 //!   precision: strict bit-reproducible serving (default), opt-in fast
 //!   kernels (`LIGHTNAS_KERNEL_MODE=fast`), or fast kernels over
@@ -75,14 +75,11 @@ mod tier;
 
 pub use adapt::{
     audit_is_well_formed, audit_is_well_formed_with, spearman, AdaptConfig, AdaptEvent,
-    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot, ShadowTrainer,
+    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot,
     StalenessReport, DEFAULT_AUDIT_CAP,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use chaos::{
-    AdaptFault, AdaptFaultKind, ChaosPlan, ChaosPredictor, FleetFault, FleetFaultKind, ServeFault,
-    ServeFaultKind,
-};
+pub use chaos::{AdaptFault, AdaptFaultKind, ChaosPlan, ChaosPredictor, ServeFault, ServeFaultKind};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::ServeError;
 pub use health::{DeviceGeneration, HealthSnapshot};

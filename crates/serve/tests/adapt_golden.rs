@@ -13,10 +13,10 @@
 use std::time::Duration;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
-use lightnas_runtime::Telemetry;
+use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
     audit_is_well_formed, AdaptConfig, AdaptEvent, AdaptFault, AdaptFaultKind,
-    AdaptationController, ChaosPlan, ModelSlot, VirtualClock,
+    AdaptationController, ModelSlot, VirtualClock,
 };
 
 /// FNV-1a 64 over the Debug-rendered audit trail followed by the JSONL
@@ -74,8 +74,8 @@ fn run_hash() -> (u64, Vec<AdaptEvent>) {
         ..AdaptConfig::default()
     };
     let mut ctl =
-        AdaptationController::new(&slot, &clock, config, refit).with_telemetry(&telemetry);
-    let plan = ChaosPlan::none().with_adapt_faults(vec![
+        AdaptationController::new(&slot, &clock, config).with_telemetry(&telemetry);
+    let plan = FaultSchedule::new(vec![
         AdaptFault {
             at_sample: 40,
             kind: AdaptFaultKind::DriftBurst { scale: 1.6 },
@@ -98,8 +98,8 @@ fn run_hash() -> (u64, Vec<AdaptEvent>) {
     ]);
     let mut scale = 10.0;
     for i in 0..480u64 {
-        for kind in plan.take_adapt(i) {
-            match kind {
+        for fault in plan.take_all(|f| f.at_sample == i) {
+            match fault.kind {
                 AdaptFaultKind::DriftBurst { scale: s } => scale *= s,
                 AdaptFaultKind::StalePredictor { bias_ms, samples } => {
                     slot.inject_bias(bias_ms, samples)
@@ -110,6 +110,10 @@ fn run_hash() -> (u64, Vec<AdaptEvent>) {
         let e = enc(i);
         let noise = 0.05 * (0.7 * i as f64).sin();
         ctl.ingest(&e, scale * f64::from(e[0]) + noise);
+        if ctl.awaiting_retrain() {
+            let (encs, obs) = ctl.retrain_window();
+            ctl.install_shadow(slot.with_current(|m| refit(m, &encs, &obs)));
+        }
         clock.advance(Duration::from_millis(3));
     }
     let audit = ctl.audit().to_vec();

@@ -156,7 +156,6 @@ proptest! {
                 cooldown: 8,
                 ..AdaptConfig::default()
             },
-            refit,
         );
         let mut i = 0u64;
         for &(len, scale) in &regimes {
@@ -169,6 +168,10 @@ proptest! {
                 }
                 let e = vec![lane(i) as f32, 0.0];
                 ctl.ingest(&e, scale * lane(i));
+                if ctl.awaiting_retrain() {
+                    let (encs, obs) = ctl.retrain_window();
+                    ctl.install_shadow(slot.with_current(|m| refit(m, &encs, &obs)));
+                }
                 let audit = ctl.audit();
                 prop_assert!(audit_is_well_formed(audit), "{audit:?}");
                 let promotions = audit

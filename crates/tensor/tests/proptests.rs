@@ -277,7 +277,7 @@ fn splitmix(state: &mut u64) -> u64 {
 fn sparse_lhs(rows: usize, groups: usize, group: usize, mode: u8, seed: u64) -> Tensor {
     let cols = groups * group;
     let mut s = seed;
-    let mut zero = |s: &mut u64| if splitmix(s) % 3 == 0 { -0.0 } else { 0.0 };
+    let zero = |s: &mut u64| if splitmix(s) % 3 == 0 { -0.0 } else { 0.0 };
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows {
         let density = [0u64, 5, 10, 20, 50][(splitmix(&mut s) % 5) as usize];
