@@ -40,8 +40,8 @@ use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
     audit_is_well_formed, spearman, AdaptConfig, AdaptEvent, AdaptFault, AdaptFaultKind,
-    AdaptStatus, AdaptationController, Clock, ModelSlot, PredictorService, Request,
-    ServiceConfig, VirtualClock,
+    AdaptStatus, AdaptationController, Clock, ModelSlot, PredictorService, Request, ServiceConfig,
+    VirtualClock,
 };
 
 /// Stream seed: architectures and measurement noise both derive from it.

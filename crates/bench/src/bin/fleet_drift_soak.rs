@@ -47,15 +47,15 @@ use std::time::{Duration, Instant};
 
 use lightnas_bench::{render_table, Harness};
 use lightnas_fleet::{
-    fleet_audit_is_well_formed, predictor_rmse, spearman, transfer_predictor, DeviceFleet,
-    DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind,
-    MonotoneMap, TransferOptions, TransferredPredictor,
+    fleet_audit_is_well_formed, predictor_rmse, transfer_predictor, DeviceFleet, DeviceSpec,
+    FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind, MonotoneMap,
+    TransferOptions, TransferredPredictor,
 };
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig};
 use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
-    AdaptConfig, AdaptEvent, BreakerState, Clock, HealthSnapshot, ModelSlot, VirtualClock,
+    spearman, AdaptConfig, AdaptEvent, BreakerState, Clock, HealthSnapshot, ModelSlot, VirtualClock,
 };
 
 /// The fleet's serving-model type: one shape for proxy and targets alike.
@@ -423,7 +423,6 @@ fn run_soak(
         fleet: fa.device_generations(),
         cache_hits: 0,
         cache_misses: 0,
-        cache_shards: Vec::new(),
     };
     SoakResult {
         generations: slots.iter().map(ModelSlot::generation).collect(),
@@ -497,7 +496,9 @@ fn eval_device(
         .iter()
         .map(|e| model.predict_encoding(e))
         .collect();
+    // No rank variance on a side (NaN) reads as no agreement.
     let rho = spearman(&preds, eval.targets());
+    let rho = if rho.is_nan() { 0.0 } else { rho };
     eprintln!(
         "[fleet_drift_soak] {} oracle ({oracle_n} rows, {oracle_epochs} epochs) scored in {:.1?}",
         spec.name,

@@ -42,11 +42,12 @@ use lightnas::SearchConfig;
 use lightnas_bench::{quick_mode, render_table, sweep_workers};
 use lightnas_eval::AccuracyOracle;
 use lightnas_fleet::{
-    predictor_rmse, quantile_targets, spearman, transfer_predictor, DeviceFleet, DeviceFront,
-    DeviceSpec, FleetSearch, TransferOptions,
+    predictor_rmse, quantile_targets, transfer_predictor, DeviceFleet, DeviceFront, DeviceSpec,
+    FleetSearch, TransferOptions,
 };
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_runtime::Telemetry;
+use lightnas_serve::spearman;
 use lightnas_space::{mobilenet_v2, SearchSpace};
 
 const RMSE_RATIO_BAR: f64 = 1.5;
@@ -203,7 +204,9 @@ fn main() -> ExitCode {
                 .map(|c| c.iter().map(|p| p.true_ms).sum::<f64>() / c.len() as f64)
                 .collect()
         };
+        // No rank variance on a side (NaN) reads as no agreement.
         let rank_corr = spearman(&seed_mean(&per_device), &seed_mean(&transferred));
+        let rank_corr = if rank_corr.is_nan() { 0.0 } else { rank_corr };
         eprintln!(
             "[fleet] {} done in {:.1?} (corpus + 2 predictors + {} searches)",
             spec.name,

@@ -1,99 +1,42 @@
-//! Scale-out contention exhibit: the sharded single-flight predictor cache
-//! versus the seed's single-lock layout, plus multi-tenant determinism.
+//! Scale-out exhibit: the single-flight predictor cache under a miss
+//! storm, plus multi-tenant determinism.
 //!
-//! Three claims, three gates (DESIGN.md §16):
+//! Two claims, two gates (DESIGN.md §16):
 //!
-//! 1. **Single-flight exactness** (always asserted, deterministic): a
-//!    barrier-synchronized 8-thread miss storm over 64 distinct keys drives
-//!    exactly 64 computes through the wrapped predictor — concurrent misses
-//!    on one key compute once. The seed-layout replica (`LegacyCache`, two
-//!    global `RwLock`s, no single-flight) is run on the same storm for
-//!    comparison; its redundant-compute count is scheduling-dependent, so
-//!    it is reported, not asserted.
-//! 2. **Multi-tenant byte-identity** (always asserted, deterministic):
-//!    three tenants' sweeps through one [`SearchService`] — shared sharded
-//!    cache, concurrent workers — produce results byte-identical to
-//!    private, serial, cold-cache [`run_sweep`] runs of the same jobs.
-//!    The fingerprints (and the shared cache's exact counters, which
-//!    single-flight makes schedule-independent) land in
-//!    `results/scale_results.txt`; CI runs the exhibit twice and `cmp`s
-//!    that file byte-for-byte.
-//! 3. **Contention scaling** (hardware-gated): hit-heavy throughput of
-//!    both layouts at 1/2/4/8 threads. On a machine with ≥ 8 hardware
-//!    threads, the sharded cache must reach **≥ 4×** the single-lock
-//!    baseline at 8 threads. Below 8 hardware threads the lock-contention
-//!    regime physically cannot be expressed (threads time-slice instead of
-//!    colliding), so the matrix is published as evidence and the asserted
-//!    floor is the honest one: sharding must never *cost* throughput
-//!    (≥ 0.75× baseline at every thread count, the slack covering shared-box
-//!    timing wobble).
+//! 1. **Single-flight exactness** (deterministic): a barrier-synchronized
+//!    8-thread miss storm over 64 distinct keys drives exactly 64 computes
+//!    through the wrapped predictor — concurrent misses on one key compute
+//!    once.
+//! 2. **Multi-tenant byte-identity** (deterministic): three tenants' sweeps
+//!    through one [`SearchService`] — one shared cache, concurrent workers —
+//!    produce results byte-identical to private, serial, cold-cache
+//!    [`run_sweep`] runs of the same jobs. The fingerprints (and the shared
+//!    cache's exact counters, which single-flight makes
+//!    schedule-independent) land in `results/scale_results.txt`; CI runs
+//!    the exhibit twice and `cmp`s that file byte-for-byte.
 //!
 //! ```text
 //! cargo run --release -p lightnas-bench --bin scale_bench
 //! ```
 //!
-//! Timing table in `results/scale_bench.txt`, raw numbers in
-//! `BENCH_scale.json`, deterministic results in `results/scale_results.txt`.
+//! Deterministic results in `results/scale_results.txt`, the same counts
+//! as JSON in `BENCH_scale.json`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, PoisonError, RwLock};
-use std::time::Instant;
+use std::sync::Barrier;
 
 use lightnas::SearchConfig;
-use lightnas_bench::{quick_mode, render_table, sweep_workers};
+use lightnas_bench::{quick_mode, sweep_workers};
 use lightnas_eval::AccuracyOracle;
 use lightnas_hw::Xavier;
 use lightnas_predictor::{
-    architecture_key, CachedPredictor, Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig,
+    CachedPredictor, Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig,
 };
 use lightnas_runtime::{run_sweep, JobStatus, SearchJob, SweepOptions, Telemetry};
 use lightnas_serve::{search_audit_is_well_formed, Priority, SearchService, SearchServiceConfig};
 use lightnas_space::{Architecture, SearchSpace};
-
-/// A faithful replica of the seed's cache layout — two *global* `RwLock`
-/// maps, no shards, no single-flight — kept here as the honest baseline
-/// the sharded cache is measured against.
-struct LegacyCache<'a, P: Predictor> {
-    inner: &'a P,
-    predictions: RwLock<std::collections::HashMap<u64, f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<'a, P: Predictor> LegacyCache<'a, P> {
-    fn new(inner: &'a P) -> Self {
-        Self {
-            inner,
-            predictions: RwLock::new(std::collections::HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn predict(&self, arch: &Architecture) -> f64 {
-        let key = architecture_key(arch);
-        if let Some(&v) = self
-            .predictions
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        // The seed behaviour: every missing thread computes, last insert
-        // wins. No coalescing.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = self.inner.predict(arch);
-        self.predictions
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, v);
-        v
-    }
-}
 
 /// Counts rows that genuinely reach the wrapped predictor.
 struct Counting<'a> {
@@ -126,39 +69,6 @@ fn fingerprints(statuses: &[JobStatus]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Hit-heavy throughput of one cache layout: `threads` threads, each
-/// looping `iters` queries over `archs` (fully preloaded — every query is
-/// a hit), from thread-distinct offsets and strides so threads do not walk
-/// in lockstep. Returns queries/second.
-fn hit_throughput(
-    predict: &(dyn Fn(&Architecture) -> f64 + Sync),
-    archs: &[Architecture],
-    threads: usize,
-    iters: usize,
-) -> f64 {
-    let barrier = Barrier::new(threads + 1);
-    let mut start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let mut k = t * 17;
-                barrier.wait();
-                for _ in 0..iters {
-                    let a = &archs[k % archs.len()];
-                    std::hint::black_box(predict(a));
-                    k += 1 + t;
-                }
-            });
-        }
-        barrier.wait();
-        start = Instant::now();
-        // The scope joins every worker before returning.
-    });
-    let wall = start.elapsed().as_secs_f64();
-    (threads * iters) as f64 / wall
-}
-
 fn main() -> ExitCode {
     let quick = quick_mode();
     let space = SearchSpace::standard();
@@ -174,9 +84,6 @@ fn main() -> ExitCode {
             seed: 9,
         },
     );
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut results = String::new(); // the deterministic artifact CI cmp's
 
     // --- gate 1: single-flight exactness under an 8-thread miss storm.
@@ -189,11 +96,11 @@ fn main() -> ExitCode {
         inner: &mlp,
         computes: AtomicU64::new(0),
     };
-    let sharded_storm = CachedPredictor::with_shards(&counting, 16);
+    let cached_storm = CachedPredictor::new(&counting);
     let barrier = Barrier::new(STORM_THREADS);
     std::thread::scope(|scope| {
         for t in 0..STORM_THREADS {
-            let (storm, cached, barrier) = (&storm, &sharded_storm, &barrier);
+            let (storm, cached, barrier) = (&storm, &cached_storm, &barrier);
             scope.spawn(move || {
                 barrier.wait();
                 for k in 0..storm.len() {
@@ -202,42 +109,21 @@ fn main() -> ExitCode {
             });
         }
     });
-    let sharded_computes = counting.computes.load(Ordering::Relaxed);
-    if sharded_computes != STORM_KEYS as u64 {
+    let storm_computes = counting.computes.load(Ordering::Relaxed);
+    if storm_computes != STORM_KEYS as u64 {
         eprintln!(
             "error: single-flight must compute each of the {STORM_KEYS} distinct keys exactly \
-             once under the miss storm; counted {sharded_computes}"
+             once under the miss storm; counted {storm_computes}"
         );
         return ExitCode::FAILURE;
     }
-    // Same storm through the seed layout: redundant computes are
-    // scheduling-dependent, so this is evidence, not a gate.
-    let legacy_counting = Counting {
-        inner: &mlp,
-        computes: AtomicU64::new(0),
-    };
-    let legacy_storm = LegacyCache::new(&legacy_counting);
-    let barrier = Barrier::new(STORM_THREADS);
-    std::thread::scope(|scope| {
-        for t in 0..STORM_THREADS {
-            let (storm, cached, barrier) = (&storm, &legacy_storm, &barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                for k in 0..storm.len() {
-                    let _ = cached.predict(&storm[(k + t * 7) % storm.len()]);
-                }
-            });
-        }
-    });
-    let legacy_computes = legacy_counting.computes.load(Ordering::Relaxed);
     println!(
         "single-flight storm: {STORM_THREADS} threads x {STORM_KEYS} distinct keys -> \
-         {sharded_computes} computes (exactly one per key); seed layout recomputed \
-         {legacy_computes} (schedule-dependent)"
+         {storm_computes} computes (exactly one per key)"
     );
     let _ = writeln!(
         results,
-        "single_flight: threads={STORM_THREADS} distinct={STORM_KEYS} computes={sharded_computes}"
+        "single_flight: threads={STORM_THREADS} distinct={STORM_KEYS} computes={storm_computes}"
     );
 
     // --- gate 2: multi-tenant byte-identity against private serial runs.
@@ -312,123 +198,30 @@ fn main() -> ExitCode {
     }
     println!(
         "multi-tenant byte-identity: {} tenants, {} jobs, results identical to private serial \
-         runs; shared cache {} hits / {} misses over {} shards",
+         runs; shared cache {} hits / {} misses",
         sweeps.len(),
         reports.iter().map(|r| r.statuses.len()).sum::<usize>(),
         snap.stats.hits,
         snap.stats.misses,
-        snap.shards.len()
     );
     let _ = writeln!(
         results,
-        "shared_cache: hits={} misses={} occupancy={} shards={}",
+        "shared_cache: hits={} misses={} occupancy={}",
         snap.stats.hits,
         snap.stats.misses,
         snap.predictions + snap.gradients,
-        snap.shards.len()
     );
     let _ = writeln!(results, "byte_identity: PASS");
 
-    // --- gate 3: hit-heavy contention matrix, single-lock vs sharded.
-    const HOT_KEYS: usize = 256;
-    let hot: Vec<Architecture> = (0..HOT_KEYS as u64)
-        .map(|s| Architecture::random(&space, 5000 + s))
-        .collect();
-    let iters = if quick { 150_000 } else { 400_000 };
-    let reps = if quick { 3 } else { 5 };
-    let thread_counts = [1usize, 2, 4, 8];
-    let mut legacy_qps = [0.0f64; 4];
-    let mut sharded_qps = [0.0f64; 4];
-    let legacy = LegacyCache::new(&mlp);
-    let sharded = CachedPredictor::with_shards(&mlp, 16);
-    for a in &hot {
-        let _ = legacy.predict(a);
-        let _ = Predictor::predict(&sharded, a);
-    }
-    let legacy_fn = |a: &Architecture| legacy.predict(a);
-    let sharded_fn = |a: &Architecture| Predictor::predict(&sharded, a);
-    for round in 0..=reps {
-        for (i, &threads) in thread_counts.iter().enumerate() {
-            // Interleaved lanes: machine noise lands on both layouts.
-            let l = hit_throughput(&legacy_fn, &hot, threads, iters);
-            let s = hit_throughput(&sharded_fn, &hot, threads, iters);
-            if round > 0 {
-                legacy_qps[i] = legacy_qps[i].max(l);
-                sharded_qps[i] = sharded_qps[i].max(s);
-            }
-        }
-    }
-
-    let table = render_table(
-        &[
-            "threads",
-            "single-lock Mq/s",
-            "sharded Mq/s",
-            "sharded/legacy",
-            "sharded vs 1-thread",
-        ],
-        &thread_counts
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                vec![
-                    format!("{t}"),
-                    format!("{:.2}", legacy_qps[i] / 1e6),
-                    format!("{:.2}", sharded_qps[i] / 1e6),
-                    format!("{:.2}x", sharded_qps[i] / legacy_qps[i]),
-                    format!("{:.2}x", sharded_qps[i] / sharded_qps[0]),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    println!(
-        "\nhit-heavy cache throughput, {HOT_KEYS} hot keys, best of {reps} interleaved rounds \
-         ({parallelism} hardware threads)\n"
-    );
-    println!("{table}");
-
-    let speedup_at_8 = sharded_qps[3] / legacy_qps[3];
-    let bar_armed = parallelism >= 8;
-    if bar_armed {
-        println!("contention bar (armed, {parallelism} hw threads): sharded >= 4x single-lock at 8 threads: {speedup_at_8:.2}x");
-    } else {
-        println!(
-            "contention bar NOT armed: {parallelism} hardware thread(s) < 8 — the lock-contention \
-             regime cannot be expressed (threads time-slice instead of colliding); asserting the \
-             no-regression floor (>= 0.75x at every thread count) instead"
-        );
-    }
-
-    // --- artifacts.
-    let mut json = String::from("{\n  \"contention\": [\n");
-    for (i, &t) in thread_counts.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"threads\": {t}, \"single_lock_qps\": {:.0}, \"sharded_qps\": {:.0}, \"speedup\": {:.3}}}{}",
-            legacy_qps[i],
-            sharded_qps[i],
-            sharded_qps[i] / legacy_qps[i],
-            if i + 1 == thread_counts.len() { "" } else { "," }
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"hot_keys\": {HOT_KEYS},\n  \"iters_per_thread\": {iters},\n  \
-         \"hardware_threads\": {parallelism},\n  \"contention_bar_armed\": {bar_armed},\n  \
-         \"speedup_at_8_threads\": {speedup_at_8:.3},\n  \
-         \"single_flight_storm_computes\": {sharded_computes},\n  \
+    let json = format!(
+        "{{\n  \"single_flight_storm_computes\": {storm_computes},\n  \
          \"single_flight_storm_distinct\": {STORM_KEYS},\n  \
-         \"legacy_storm_computes\": {legacy_computes},\n  \
          \"multi_tenant_byte_identity\": true,\n  \
          \"shared_cache_hits\": {},\n  \"shared_cache_misses\": {}\n}}\n",
         snap.stats.hits, snap.stats.misses
     );
     if let Err(e) = std::fs::create_dir_all("results") {
         eprintln!("[scale_bench] cannot create results/: {e}");
-    }
-    match std::fs::write("results/scale_bench.txt", format!("{table}\nsharded/single-lock at 8 threads: {speedup_at_8:.2}x (bar armed: {bar_armed})\n")) {
-        Ok(()) => eprintln!("[scale_bench] wrote results/scale_bench.txt"),
-        Err(e) => eprintln!("[scale_bench] failed to write results/scale_bench.txt: {e}"),
     }
     match std::fs::write("results/scale_results.txt", &results) {
         Ok(()) => eprintln!("[scale_bench] wrote results/scale_results.txt (deterministic)"),
@@ -437,28 +230,6 @@ fn main() -> ExitCode {
     match std::fs::write("BENCH_scale.json", &json) {
         Ok(()) => eprintln!("[scale_bench] wrote BENCH_scale.json"),
         Err(e) => eprintln!("[scale_bench] failed to write BENCH_scale.json: {e}"),
-    }
-
-    // --- bars.
-    if bar_armed && speedup_at_8 < 4.0 {
-        eprintln!(
-            "error: sharded cache at 8 threads is {speedup_at_8:.2}x the single-lock baseline, \
-             below the 4x bar on {parallelism}-thread hardware"
-        );
-        return ExitCode::FAILURE;
-    }
-    for (i, &t) in thread_counts.iter().enumerate() {
-        let ratio = sharded_qps[i] / legacy_qps[i];
-        // 0.75 rather than 1.0: wall-clock on shared boxes wobbles ±20%,
-        // and the claim is "sharding is never a tax", not "sharding wins
-        // without parallel hardware".
-        if ratio < 0.75 {
-            eprintln!(
-                "error: sharding must never cost throughput: {ratio:.2}x the single-lock \
-                 baseline at {t} threads is below the 0.75x floor"
-            );
-            return ExitCode::FAILURE;
-        }
     }
     ExitCode::SUCCESS
 }

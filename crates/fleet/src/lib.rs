@@ -40,6 +40,6 @@ pub use adapt::{
 pub use search::{quantile_targets, DeviceFront, FleetPoint, FleetSearch};
 pub use spec::{DeviceClass, DeviceFleet, DeviceSpec};
 pub use transfer::{
-    kendall_tau, predictor_rmse, spearman, transfer_predictor, MonotoneMap, TransferOptions,
+    kendall_tau, predictor_rmse, transfer_predictor, MonotoneMap, TransferOptions,
     TransferredPredictor,
 };

@@ -18,10 +18,10 @@
 use proptest::prelude::*;
 
 use lightnas_predictor::{BatchPredictor, Predictor};
-use lightnas_serve::{AdaptConfig, ModelSlot, VirtualClock};
+use lightnas_serve::{spearman, AdaptConfig, ModelSlot, VirtualClock};
 
 use lightnas_fleet::{
-    fleet_audit_is_well_formed, spearman, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
+    fleet_audit_is_well_formed, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
 };
 
 /// Deterministic per-index value in [1, 2) — the "architecture" signal.

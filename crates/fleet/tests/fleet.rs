@@ -7,11 +7,12 @@ use std::sync::OnceLock;
 use lightnas::SearchConfig;
 use lightnas_eval::AccuracyOracle;
 use lightnas_fleet::{
-    predictor_rmse, quantile_targets, spearman, transfer_predictor, DeviceFleet, DeviceSpec,
-    FleetSearch, TransferOptions,
+    predictor_rmse, quantile_targets, transfer_predictor, DeviceFleet, DeviceSpec, FleetSearch,
+    TransferOptions,
 };
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig};
 use lightnas_runtime::Telemetry;
+use lightnas_serve::spearman;
 use lightnas_space::SearchSpace;
 
 struct Fixture {

@@ -1,5 +1,5 @@
-//! The [`Predictor`] abstraction, a compact encoding key, and a thread-safe
-//! sharded memoizing wrapper.
+//! A compact encoding key and a thread-safe single-flight memoizing
+//! wrapper for any [`Predictor`].
 //!
 //! The search engine re-evaluates `predict(argmax α)` at **every** step
 //! (`LAT(α)` is defined on the derived architecture, Eq. 4), and the argmax
@@ -12,15 +12,11 @@
 //! architectures), and `lightnas-serve`'s multi-tenant search service shares
 //! one cache across *many* sweeps at once.
 //!
-//! That many-sweeps regime is why the cache is **sharded**: a single
-//! `RwLock` pair serializes every hit on one cache line once eight workers
-//! hammer it, so the maps are split into a power-of-two number of shards
-//! keyed by a mixed encoding hash, each with its own lock and hit/miss
-//! counters (merged on demand into one [`CacheStats`]). Misses are
-//! **single-flight**: concurrent misses on the same key compute the value
-//! once — the first arrival becomes the leader, everyone else waits for its
-//! (deterministic, hence identical) answer instead of burning a redundant
-//! forward pass. See DESIGN.md §16 for the full scale-out contract.
+//! Misses are **single-flight**: concurrent misses on the same key compute
+//! the value once — the first arrival becomes the leader, everyone else
+//! waits for its (deterministic, hence identical) answer instead of burning
+//! a redundant forward pass. See DESIGN.md §16 for the full scale-out
+//! contract.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,57 +26,7 @@ use std::sync::{
 
 use lightnas_space::{Architecture, NUM_OPS, SEARCHABLE_LAYERS, TOTAL_LAYERS};
 
-use crate::{EnsemblePredictor, MlpPredictor};
-
-/// The querying interface shared by the MLP predictor, the ensemble, and
-/// caching wrappers — everything a differentiable search needs from a
-/// hardware-metric model.
-pub trait Predictor {
-    /// Predicted metric for a flattened `ᾱ` encoding (Eq. 4).
-    fn predict_encoding(&self, encoding: &[f32]) -> f64;
-
-    /// Gradient of the prediction w.r.t. the encoding (`∂LAT/∂ᾱ`, Eq. 12).
-    fn gradient(&self, encoding: &[f32]) -> Vec<f32>;
-
-    /// Predicted metric for an architecture.
-    fn predict(&self, arch: &Architecture) -> f64 {
-        self.predict_encoding(&arch.encode())
-    }
-}
-
-impl Predictor for MlpPredictor {
-    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
-        MlpPredictor::predict_encoding(self, encoding)
-    }
-
-    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        MlpPredictor::gradient(self, encoding)
-    }
-}
-
-impl Predictor for EnsemblePredictor {
-    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
-        EnsemblePredictor::predict_encoding(self, encoding)
-    }
-
-    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        EnsemblePredictor::gradient(self, encoding)
-    }
-}
-
-impl<P: Predictor + ?Sized> Predictor for &P {
-    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
-        (**self).predict_encoding(encoding)
-    }
-
-    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        (**self).gradient(encoding)
-    }
-
-    fn predict(&self, arch: &Architecture) -> f64 {
-        (**self).predict(arch)
-    }
-}
+use crate::{BatchPredictor, Predictor};
 
 /// Packs a one-hot `ᾱ` encoding into a single `u64` cache key: the argmax
 /// operator index of each searchable row, 3 bits per slot (`K = 7 < 8`).
@@ -119,7 +65,7 @@ pub fn architecture_key(arch: &Architecture) -> u64 {
         .fold(0u64, |key, op| (key << 3) | op.index() as u64)
 }
 
-// --- the one poison-recovering lock helper (used by every shard below).
+// --- the poison-recovering lock helpers.
 //
 // A search job that panics while holding a cache lock leaves the protected
 // state valid (writes are whole inserts/clears of already-computed values),
@@ -138,8 +84,7 @@ fn mlock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hit/miss counters of a [`CachedPredictor`] (merged over all shards and
-/// both query kinds).
+/// Hit/miss counters of a [`CachedPredictor`] (over both query kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Queries answered from the cache (including single-flight waiters,
@@ -180,35 +125,18 @@ impl CacheStats {
     }
 }
 
-/// One shard's counters and occupancy, read under that shard's locks (so
-/// the four numbers are mutually consistent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardOccupancy {
-    /// Cache hits served by this shard.
-    pub hits: u64,
-    /// Values computed into this shard.
-    pub misses: u64,
-    /// Distinct cached predictions in this shard.
-    pub predictions: usize,
-    /// Distinct cached gradients in this shard.
-    pub gradients: usize,
-}
-
-/// A per-shard-consistent view of a [`CachedPredictor`]: within every
-/// shard, `misses == predictions + gradients` holds **exactly** (each miss
-/// inserts exactly one value, both counted under the same write lock), so
-/// the totals satisfy it too — the invariant the clear-consistency
-/// regression test hammers.
+/// A consistent view of a [`CachedPredictor`]: `misses == predictions +
+/// gradients` holds **exactly** (each miss inserts exactly one value, both
+/// counted under the same write lock, and the snapshot reads under the read
+/// locks) — the invariant the clear-consistency regression test hammers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Merged hit/miss counters.
+    /// Hit/miss counters.
     pub stats: CacheStats,
-    /// Total distinct cached predictions.
+    /// Distinct cached predictions.
     pub predictions: usize,
-    /// Total distinct cached gradients.
+    /// Distinct cached gradients.
     pub gradients: usize,
-    /// Per-shard breakdown, in shard order.
-    pub shards: Vec<ShardOccupancy>,
 }
 
 /// What a miss-leader's in-flight computation looks like to waiters.
@@ -364,53 +292,19 @@ fn single_flight<V: Clone>(
     }
 }
 
-/// One cache shard: its slice of both maps, its in-flight registries, and
-/// its own counters. Aligned so neighbouring shards never share a cache
-/// line — the whole point of sharding is that 8 threads hitting 8 shards
-/// touch 8 different lines.
-#[repr(align(128))]
-#[derive(Debug)]
-struct Shard {
-    predictions: RwLock<HashMap<u64, f64>>,
-    gradients: RwLock<HashMap<u64, Vec<f32>>>,
-    prediction_flights: Mutex<HashMap<u64, Arc<Flight<f64>>>>,
-    gradient_flights: Mutex<HashMap<u64, Arc<Flight<Vec<f32>>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            predictions: RwLock::new(HashMap::new()),
-            gradients: RwLock::new(HashMap::new()),
-            prediction_flights: Mutex::new(HashMap::new()),
-            gradient_flights: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Default shard count of [`CachedPredictor::new`]; `with_shards(1)` is the
-/// single-lock layout earlier releases shipped (and the baseline the
-/// `scale_bench` exhibit measures contention against).
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
-/// A thread-safe sharded memoizing wrapper around any [`Predictor`].
+/// A thread-safe memoizing wrapper around any [`Predictor`].
 ///
 /// Both `predict` and `gradient` results are cached by the packed
-/// architecture key. The key is mixed (splitmix64 finalizer) and masked to
-/// pick one of a power-of-two number of shards, each with its own
-/// `RwLock`-protected maps and hit/miss counters — concurrent readers on
-/// different keys contend on nothing. Concurrent misses on the *same* key
-/// are single-flight: one thread computes, the rest wait for its answer,
-/// so a burst of cold traffic costs one forward pass per distinct key.
+/// architecture key, each kind in its own `RwLock`-protected map, with one
+/// pair of hit/miss counters. Concurrent readers share the read locks.
+/// Concurrent misses on the *same* key are single-flight: one thread
+/// computes, the rest wait for its answer, so a burst of cold traffic costs
+/// one forward pass per distinct key.
 ///
 /// Memoization never changes a value — the wrapped predictor is
 /// deterministic, and waiters receive exactly the leader's result — so a
-/// sharded, an unsharded, and an uncached run are byte-identical (the
-/// cache property tests pin this for arbitrary query sequences).
+/// cached and an uncached run are byte-identical (the cache property tests
+/// pin this for arbitrary query sequences).
 ///
 /// Lock poisoning is recovered, not propagated: a search job that panics
 /// while holding a cache lock leaves the maps in a valid state (every write
@@ -420,25 +314,25 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct CachedPredictor<'a, P: Predictor> {
     inner: &'a P,
-    shards: Box<[Shard]>,
-    mask: u64,
+    predictions: RwLock<HashMap<u64, f64>>,
+    gradients: RwLock<HashMap<u64, Vec<f32>>>,
+    prediction_flights: Mutex<HashMap<u64, Arc<Flight<f64>>>>,
+    gradient_flights: Mutex<HashMap<u64, Arc<Flight<Vec<f32>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl<'a, P: Predictor> CachedPredictor<'a, P> {
-    /// Wraps `inner` with [`DEFAULT_CACHE_SHARDS`] empty shards.
+    /// Wraps `inner` with an empty cache.
     pub fn new(inner: &'a P) -> Self {
-        Self::with_shards(inner, DEFAULT_CACHE_SHARDS)
-    }
-
-    /// Wraps `inner` with `shards` shards, rounded up to the next power of
-    /// two (minimum 1 — which reproduces the old single-lock layout).
-    pub fn with_shards(inner: &'a P, shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards: Box<[Shard]> = (0..n).map(|_| Shard::new()).collect();
         Self {
             inner,
-            shards,
-            mask: (n - 1) as u64,
+            predictions: RwLock::new(HashMap::new()),
+            gradients: RwLock::new(HashMap::new()),
+            prediction_flights: Mutex::new(HashMap::new()),
+            gradient_flights: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -447,104 +341,62 @@ impl<'a, P: Predictor> CachedPredictor<'a, P> {
         self.inner
     }
 
-    /// How many shards the maps are split across (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a key lands in. The packed key concentrates its entropy
-    /// in whichever layers differ, so it is mixed (splitmix64 finalizer)
-    /// before masking — neighbouring architectures spread across shards.
-    fn shard_of(&self, key: u64) -> &Shard {
-        let mut x = key;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        &self.shards[(x & self.mask) as usize]
-    }
-
-    /// Current hit/miss counters, merged across shards (aggregated over
-    /// both query kinds).
+    /// Current hit/miss counters (aggregated over both query kinds).
     pub fn stats(&self) -> CacheStats {
         self.snapshot().stats
     }
 
-    /// A per-shard-consistent snapshot: each shard's counters and map
-    /// sizes are read under that shard's read locks, so within every shard
-    /// `misses == predictions + gradients` exactly (see [`CacheSnapshot`]).
+    /// A consistent snapshot: counters and map sizes are read under both
+    /// maps' read locks, so `misses == predictions + gradients` exactly
+    /// (see [`CacheSnapshot`]).
     pub fn snapshot(&self) -> CacheSnapshot {
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut stats = CacheStats::default();
-        let (mut predictions, mut gradients) = (0usize, 0usize);
-        for shard in self.shards.iter() {
-            // Lock order matches `clear`: predictions before gradients.
-            let p = rlock(&shard.predictions);
-            let g = rlock(&shard.gradients);
-            let occ = ShardOccupancy {
-                hits: shard.hits.load(Ordering::Relaxed),
-                misses: shard.misses.load(Ordering::Relaxed),
-                predictions: p.len(),
-                gradients: g.len(),
-            };
-            drop(g);
-            drop(p);
-            stats.hits += occ.hits;
-            stats.misses += occ.misses;
-            predictions += occ.predictions;
-            gradients += occ.gradients;
-            shards.push(occ);
-        }
+        // Lock order matches `clear`: predictions before gradients.
+        let p = rlock(&self.predictions);
+        let g = rlock(&self.gradients);
         CacheSnapshot {
-            stats,
-            predictions,
-            gradients,
-            shards,
+            stats: CacheStats {
+                hits: self.hits.load(Ordering::Relaxed),
+                misses: self.misses.load(Ordering::Relaxed),
+            },
+            predictions: p.len(),
+            gradients: g.len(),
         }
     }
 
     /// Number of distinct architectures with a cached prediction.
     pub fn cached_predictions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| rlock(&s.predictions).len())
-            .sum()
+        rlock(&self.predictions).len()
     }
 
     /// Number of distinct architectures with a cached gradient.
     pub fn cached_gradients(&self) -> usize {
-        self.shards.iter().map(|s| rlock(&s.gradients).len()).sum()
+        rlock(&self.gradients).len()
     }
 
     /// Drops all cached values and resets the counters.
     ///
-    /// Consistency protocol: each shard is cleared *atomically* — both
-    /// maps emptied and both counters reset while holding that shard's
-    /// write locks — so no observer (which reads counters under the same
-    /// locks, see [`snapshot`](Self::snapshot)) can ever see a shard's
-    /// maps and counters disagree. Earlier releases cleared the two maps
-    /// and the counters in three separate critical sections; a concurrent
-    /// writer landing between them left occupancy permanently ahead of the
-    /// miss counter.
+    /// Consistency protocol: the clear is *atomic* — both maps emptied and
+    /// both counters reset while holding both write locks — so no observer
+    /// (which reads counters under the same locks, see
+    /// [`snapshot`](Self::snapshot)) can ever see maps and counters
+    /// disagree. Clearing the two maps and the counters in separate
+    /// critical sections would let a concurrent writer landing between them
+    /// leave occupancy permanently ahead of the miss counter.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut p = wlock(&shard.predictions);
-            let mut g = wlock(&shard.gradients);
-            p.clear();
-            g.clear();
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-        }
+        let mut p = wlock(&self.predictions);
+        let mut g = wlock(&self.gradients);
+        p.clear();
+        g.clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
 
     fn predict_keyed(&self, key: u64, compute: impl Fn() -> f64) -> f64 {
-        let shard = self.shard_of(key);
         single_flight(
-            &shard.predictions,
-            &shard.prediction_flights,
-            &shard.hits,
-            &shard.misses,
+            &self.predictions,
+            &self.prediction_flights,
+            &self.hits,
+            &self.misses,
             key,
             compute,
         )
@@ -555,7 +407,8 @@ impl<'a, P: Predictor> CachedPredictor<'a, P> {
 /// compute panics: every still-pending flight is deregistered and aborted
 /// so concurrent waiters retry instead of hanging.
 struct BatchFlightsGuard<'a> {
-    entries: &'a [(u64, usize, Arc<Flight<f64>>, &'a Shard)],
+    flights: &'a Mutex<HashMap<u64, Arc<Flight<f64>>>>,
+    entries: &'a [(u64, usize, Arc<Flight<f64>>)],
     armed: bool,
 }
 
@@ -564,8 +417,8 @@ impl Drop for BatchFlightsGuard<'_> {
         if !self.armed {
             return;
         }
-        for (key, _, flight, shard) in self.entries {
-            let mut flights = mlock(&shard.prediction_flights);
+        for (key, _, flight) in self.entries {
+            let mut flights = mlock(self.flights);
             if flights.get(key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
                 flights.remove(key);
             }
@@ -575,12 +428,11 @@ impl Drop for BatchFlightsGuard<'_> {
     }
 }
 
-impl<P: crate::BatchPredictor> crate::BatchPredictor for CachedPredictor<'_, P> {
-    /// Batched lookup: cached rows are answered from their shards, the
-    /// remaining *distinct* keys this thread leads go to the wrapped
-    /// predictor in **one** `predict_encodings` call, keys already in
-    /// flight on other threads are waited for, and every result lands in
-    /// the cache.
+impl<P: BatchPredictor> BatchPredictor for CachedPredictor<'_, P> {
+    /// Batched lookup: cached rows are answered from the map, the remaining
+    /// *distinct* keys this thread leads go to the wrapped predictor in
+    /// **one** `predict_encodings` call, keys already in flight on other
+    /// threads are waited for, and every result lands in the cache.
     ///
     /// Counter semantics match the sequential per-row loop exactly: the
     /// first occurrence of an uncached key counts as a miss, repeats of the
@@ -597,68 +449,69 @@ impl<P: crate::BatchPredictor> crate::BatchPredictor for CachedPredictor<'_, P> 
         let mut unresolved: Vec<(usize, u64)> = Vec::new();
         let mut pending: Vec<(u64, usize)> = Vec::new();
         let mut seen = HashSet::new();
-        for (i, enc) in encodings.iter().enumerate() {
-            let key = encoding_key(enc);
-            let shard = self.shard_of(key);
-            let cached = {
-                let map = rlock(&shard.predictions);
-                map.get(&key).copied().inspect(|_| {
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                })
-            };
-            if let Some(v) = cached {
-                out[i] = v;
-                continue;
-            }
-            unresolved.push((i, key));
-            if seen.insert(key) {
-                pending.push((key, i));
-            } else {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
+        {
+            let map = rlock(&self.predictions);
+            for (i, enc) in encodings.iter().enumerate() {
+                let key = encoding_key(enc);
+                if let Some(&v) = map.get(&key) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    out[i] = v;
+                    continue;
+                }
+                unresolved.push((i, key));
+                if seen.insert(key) {
+                    pending.push((key, i));
+                } else {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
 
         let mut resolved: HashMap<u64, f64> = HashMap::new();
         // Keys this thread leads vs. keys already in flight elsewhere.
-        let mut ours: Vec<(u64, usize, Arc<Flight<f64>>, &Shard)> = Vec::new();
+        let mut ours: Vec<(u64, usize, Arc<Flight<f64>>)> = Vec::new();
         let mut foreign: Vec<(u64, usize, Arc<Flight<f64>>)> = Vec::new();
-        for &(key, row) in &pending {
-            let shard = self.shard_of(key);
-            let mut flights = mlock(&shard.prediction_flights);
-            if let Some(&v) = rlock(&shard.predictions).get(&key) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                resolved.insert(key, v);
-                continue;
-            }
-            match flights.get(&key) {
-                Some(flight) => foreign.push((key, row, Arc::clone(flight))),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    flights.insert(key, Arc::clone(&flight));
-                    ours.push((key, row, flight, shard));
+        {
+            let mut flights = mlock(&self.prediction_flights);
+            let map = rlock(&self.predictions);
+            for &(key, row) in &pending {
+                if let Some(&v) = map.get(&key) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    resolved.insert(key, v);
+                    continue;
+                }
+                match flights.get(&key) {
+                    Some(flight) => foreign.push((key, row, Arc::clone(flight))),
+                    None => {
+                        let flight = Arc::new(Flight::new());
+                        flights.insert(key, Arc::clone(&flight));
+                        ours.push((key, row, flight));
+                    }
                 }
             }
         }
 
         if !ours.is_empty() {
             let mut guard = BatchFlightsGuard {
+                flights: &self.prediction_flights,
                 entries: &ours,
                 armed: true,
             };
             let miss_rows: Vec<Vec<f32>> = ours
                 .iter()
-                .map(|&(_, row, _, _)| encodings[row].clone())
+                .map(|&(_, row, _)| encodings[row].clone())
                 .collect();
             let computed = self.inner.predict_encodings(&miss_rows);
-            for ((key, _, flight, shard), &v) in ours.iter().zip(&computed) {
-                {
-                    let mut flights = mlock(&shard.prediction_flights);
-                    let mut map = wlock(&shard.predictions);
+            {
+                let mut flights = mlock(&self.prediction_flights);
+                let mut map = wlock(&self.predictions);
+                for ((key, _, _), &v) in ours.iter().zip(&computed) {
                     map.insert(*key, v);
-                    shard.misses.fetch_add(1, Ordering::Relaxed);
-                    drop(map);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
                     flights.remove(key);
                 }
+            }
+            for ((key, _, flight), &v) in ours.iter().zip(&computed) {
                 flight.complete(v);
                 resolved.insert(*key, v);
             }
@@ -668,7 +521,7 @@ impl<P: crate::BatchPredictor> crate::BatchPredictor for CachedPredictor<'_, P> 
         for (key, row, flight) in foreign {
             match flight.wait() {
                 Some(v) => {
-                    self.shard_of(key).hits.fetch_add(1, Ordering::Relaxed);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     resolved.insert(key, v);
                 }
                 // The foreign leader aborted: compute this key ourselves
@@ -701,14 +554,12 @@ impl<P: Predictor> Predictor for CachedPredictor<'_, P> {
     }
 
     fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
-        let key = encoding_key(encoding);
-        let shard = self.shard_of(key);
         single_flight(
-            &shard.gradients,
-            &shard.gradient_flights,
-            &shard.hits,
-            &shard.misses,
-            key,
+            &self.gradients,
+            &self.gradient_flights,
+            &self.hits,
+            &self.misses,
+            encoding_key(encoding),
             || self.inner.gradient(encoding),
         )
     }
@@ -717,7 +568,7 @@ impl<P: Predictor> Predictor for CachedPredictor<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Metric, MetricDataset, TrainConfig};
+    use crate::{Metric, MetricDataset, MlpPredictor, TrainConfig};
     use lightnas_hw::Xavier;
     use lightnas_space::SearchSpace;
 
@@ -756,35 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_round_up_to_powers_of_two() {
-        let p = small_predictor();
-        assert_eq!(CachedPredictor::new(&p).shard_count(), DEFAULT_CACHE_SHARDS);
-        for (requested, expect) in [(0, 1), (1, 1), (2, 2), (3, 4), (5, 8), (16, 16), (17, 32)] {
-            assert_eq!(
-                CachedPredictor::with_shards(&p, requested).shard_count(),
-                expect,
-                "requested {requested}"
-            );
-        }
-    }
-
-    #[test]
-    fn keys_spread_across_shards() {
-        let p = small_predictor();
-        let cached = CachedPredictor::with_shards(&p, 8);
-        let space = SearchSpace::standard();
-        for seed in 0..256 {
-            let _ = Predictor::predict(&cached, &Architecture::random(&space, seed));
-        }
-        let snap = cached.snapshot();
-        let populated = snap.shards.iter().filter(|s| s.predictions > 0).count();
-        assert!(
-            populated >= 6,
-            "256 random keys landed in only {populated}/8 shards: {snap:?}"
-        );
-    }
-
-    #[test]
     fn cached_values_match_the_wrapped_predictor() {
         let p = small_predictor();
         let cached = CachedPredictor::new(&p);
@@ -808,7 +630,6 @@ mod tests {
 
     #[test]
     fn batched_queries_coalesce_misses_and_serve_hits() {
-        use crate::BatchPredictor;
         let p = small_predictor();
         let cached = CachedPredictor::new(&p);
         let space = SearchSpace::standard();
@@ -896,7 +717,7 @@ mod tests {
             inner: &p,
             computes: AtomicU64::new(0),
         };
-        let cached = CachedPredictor::with_shards(&counting, 8);
+        let cached = CachedPredictor::new(&counting);
         let space = SearchSpace::standard();
         let archs: Vec<Architecture> = (0..24).map(|s| Architecture::random(&space, s)).collect();
         let barrier = std::sync::Barrier::new(8);
@@ -951,7 +772,7 @@ mod tests {
             inner: &p,
             panicked: AtomicU64::new(0),
         };
-        let cached = CachedPredictor::with_shards(&once, 4);
+        let cached = CachedPredictor::new(&once);
         let arch = Architecture::random(&SearchSpace::standard(), 3);
         let enc = arch.encode();
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -968,7 +789,7 @@ mod tests {
     #[test]
     fn clear_keeps_counters_and_occupancy_consistent_under_concurrency() {
         let p = small_predictor();
-        let cached = CachedPredictor::with_shards(&p, 4);
+        let cached = CachedPredictor::new(&p);
         let space = SearchSpace::standard();
         let archs: Vec<Architecture> = (0..32).map(|s| Architecture::random(&space, s)).collect();
         let stop = AtomicU64::new(0);
@@ -995,13 +816,6 @@ mod tests {
             for round in 0..200 {
                 cached.clear();
                 let snap = cached.snapshot();
-                for (i, shard) in snap.shards.iter().enumerate() {
-                    assert_eq!(
-                        shard.misses as usize,
-                        shard.predictions + shard.gradients,
-                        "round {round}, shard {i}: counters drifted from occupancy: {shard:?}"
-                    );
-                }
                 assert_eq!(
                     snap.stats.misses as usize,
                     snap.predictions + snap.gradients,

@@ -34,7 +34,6 @@
 //! println!("validation RMSE: {:.3} ms", predictor.rmse(&valid));
 //! ```
 
-mod batch;
 mod cache;
 mod checkpoint;
 mod dataset;
@@ -42,15 +41,13 @@ mod ensemble;
 mod fallback;
 mod lut;
 mod mlp;
+mod traits;
 
-pub use batch::BatchPredictor;
-pub use cache::{
-    architecture_key, encoding_key, CacheSnapshot, CacheStats, CachedPredictor, Predictor,
-    ShardOccupancy, DEFAULT_CACHE_SHARDS,
-};
+pub use cache::{architecture_key, encoding_key, CacheSnapshot, CacheStats, CachedPredictor};
 pub use checkpoint::{CheckpointError, WeightPrecision};
 pub use dataset::{Metric, MetricDataset};
 pub use ensemble::EnsemblePredictor;
 pub use fallback::{DegradeCause, FallbackPredictor};
 pub use lut::LutPredictor;
 pub use mlp::{MlpPredictor, TrainConfig};
+pub use traits::{BatchPredictor, Predictor};

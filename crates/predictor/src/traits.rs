@@ -1,4 +1,6 @@
-//! Batched prediction: the coalescing interface the serving layer rides on.
+//! The predictor vocabulary: [`Predictor`], what a differentiable search
+//! needs from a hardware-metric model, and [`BatchPredictor`], the
+//! coalescing interface the serving layer rides on.
 //!
 //! A serving layer that pulls several queued requests at once wants to
 //! answer them in **one** forward pass — [`MlpPredictor::predict_batch`]
@@ -8,7 +10,59 @@
 //! default method is the per-row loop (correct for any predictor), and
 //! models with a genuine batched path override it.
 
-use crate::{EnsemblePredictor, LutPredictor, MlpPredictor, Predictor};
+use lightnas_space::Architecture;
+
+use crate::{EnsemblePredictor, LutPredictor, MlpPredictor};
+
+/// The querying interface shared by the MLP predictor, the ensemble, and
+/// caching wrappers — everything a differentiable search needs from a
+/// hardware-metric model.
+pub trait Predictor {
+    /// Predicted metric for a flattened `ᾱ` encoding (Eq. 4).
+    fn predict_encoding(&self, encoding: &[f32]) -> f64;
+
+    /// Gradient of the prediction w.r.t. the encoding (`∂LAT/∂ᾱ`, Eq. 12).
+    fn gradient(&self, encoding: &[f32]) -> Vec<f32>;
+
+    /// Predicted metric for an architecture.
+    fn predict(&self, arch: &Architecture) -> f64 {
+        self.predict_encoding(&arch.encode())
+    }
+}
+
+impl Predictor for MlpPredictor {
+    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
+        MlpPredictor::predict_encoding(self, encoding)
+    }
+
+    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
+        MlpPredictor::gradient(self, encoding)
+    }
+}
+
+impl Predictor for EnsemblePredictor {
+    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
+        EnsemblePredictor::predict_encoding(self, encoding)
+    }
+
+    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
+        EnsemblePredictor::gradient(self, encoding)
+    }
+}
+
+impl<P: Predictor + ?Sized> Predictor for &P {
+    fn predict_encoding(&self, encoding: &[f32]) -> f64 {
+        (**self).predict_encoding(encoding)
+    }
+
+    fn gradient(&self, encoding: &[f32]) -> Vec<f32> {
+        (**self).gradient(encoding)
+    }
+
+    fn predict(&self, arch: &Architecture) -> f64 {
+        (**self).predict(arch)
+    }
+}
 
 /// A [`Predictor`] that can answer many encodings in one call.
 ///

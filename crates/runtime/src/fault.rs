@@ -307,32 +307,32 @@ mod tests {
             .collect()
     }
 
+    /// Builds a schedule from `spec`, runs `claims` in order (each a tick
+    /// and the ids it must fire), and checks every fault fired once.
+    fn assert_claims(spec: &[(u64, char)], claims: &[(u64, &str)]) {
+        let schedule = ticks(spec);
+        for &(at, want) in claims {
+            assert_eq!(fired_at(&schedule, at), want, "{spec:?} at {at}");
+        }
+        assert_eq!(schedule.fired(), spec.len(), "{spec:?}");
+    }
+
     #[test]
     fn schedule_claims_are_one_shot_and_keep_list_order() {
-        // (schedule, claims in order, ids each claim fires). Same-tick
-        // faults fire in insertion order — not kind, magnitude, or id
-        // order — and a claimed tick never re-fires.
-        let cases: &[(&[(u64, char)], &[(u64, &str)])] = &[
-            // adaptation faults: three on tick 7, listed out of tick order.
-            (
-                &[(7, 's'), (3, 'd'), (7, 'b'), (7, 'a')],
-                &[(0, ""), (3, "d"), (7, "sba"), (7, ""), (3, "")],
-            ),
-            // fleet faults: a bad deploy listed before a same-tick burst.
-            (
-                &[(96, 'x'), (96, 'c'), (40, 'p')],
-                &[(0, ""), (40, "p"), (96, "xc"), (96, "")],
-            ),
-            // the empty schedule.
-            (&[], &[(0, ""), (1, "")]),
-        ];
-        for (spec, claims) in cases {
-            let schedule = ticks(spec);
-            for (at, want) in *claims {
-                assert_eq!(fired_at(&schedule, *at), *want, "{spec:?} at {at}");
-            }
-            assert_eq!(schedule.fired(), spec.len(), "{spec:?}");
-        }
+        // Same-tick faults fire in insertion order — not kind, magnitude,
+        // or id order — and a claimed tick never re-fires.
+        // Adaptation faults: three on tick 7, listed out of tick order.
+        assert_claims(
+            &[(7, 's'), (3, 'd'), (7, 'b'), (7, 'a')],
+            &[(0, ""), (3, "d"), (7, "sba"), (7, ""), (3, "")],
+        );
+        // Fleet faults: a bad deploy listed before a same-tick burst.
+        assert_claims(
+            &[(96, 'x'), (96, 'c'), (40, 'p')],
+            &[(0, ""), (40, "p"), (96, "xc"), (96, "")],
+        );
+        // The empty schedule.
+        assert_claims(&[], &[(0, ""), (1, "")]);
     }
 
     #[test]

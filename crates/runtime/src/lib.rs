@@ -75,7 +75,7 @@ pub use fault::{
     apply_corruption, splitmix64, CorruptionMode, Fault, FaultKind, FaultPlan, FaultSchedule,
 };
 pub use lightnas::DivergencePolicy;
-pub use lightnas_predictor::{CacheSnapshot, CacheStats, CachedPredictor, ShardOccupancy};
+pub use lightnas_predictor::{CacheSnapshot, CacheStats, CachedPredictor};
 pub use scheduler::{panic_message, JobPanic, JobScheduler};
 pub use supervisor::CheckpointStore;
 pub use sweep::{

@@ -301,7 +301,7 @@ pub fn run_sweep_with_faults<P: Predictor + Sync>(
 /// one predictor compound their hit rates instead of re-warming from cold.
 /// This is the execution path of `lightnas-serve`'s multi-tenant
 /// [`SearchService`](../lightnas_serve), where every tenant's sweeps share
-/// one sharded cache.
+/// one cache.
 ///
 /// Sharing never changes a result — memoized values are the predictor's own
 /// deterministic outputs, and single-flight waiters receive exactly the

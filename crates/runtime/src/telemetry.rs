@@ -115,8 +115,8 @@ pub mod events {
     /// A tenant's sweep finished executing: per-sweep completed/failed
     /// counts and the shared-cache traffic it contributed to.
     pub const SEARCH_SWEEP_DONE: &str = "search_sweep_done";
-    /// Shared sharded-cache counters at a service checkpoint: merged
-    /// hits/misses/hit-rate plus shard count and total occupancy.
+    /// Shared-cache counters at a service checkpoint: hits/misses/hit-rate
+    /// plus total occupancy.
     pub const SEARCH_CACHE_STATS: &str = "search_cache_stats";
 }
 

@@ -1552,10 +1552,7 @@ mod tests {
             ctl.ingest(&e, 16.0 * f64::from(e[0]));
             i += 1;
         }
-        assert!(
-            ctl.awaiting_retrain(),
-            "drift must park the controller"
-        );
+        assert!(ctl.awaiting_retrain(), "drift must park the controller");
         assert_eq!(ctl.phase(), "awaiting_retrain");
         assert_eq!(slot.generation(), 0, "nothing trained, nothing served");
         // The window keeps rolling while parked.
@@ -1583,7 +1580,10 @@ mod tests {
                 ctl.install_shadow(shadow);
             }
         }
-        assert!(slot.generation() >= 1, "a late-installed shadow promotes normally");
+        assert!(
+            slot.generation() >= 1,
+            "a late-installed shadow promotes normally"
+        );
         assert!(audit_is_well_formed(ctl.audit()), "{:?}", ctl.audit());
         assert!(
             (slot.with_current(|m| m.scale) - 16.0).abs() < 0.2,

@@ -67,17 +67,13 @@ pub struct HealthSnapshot {
     /// a fleet. **Empty for single-device services** — and omitted from the
     /// wire form when empty, so existing snapshots stay byte-identical.
     pub fleet: Vec<DeviceGeneration>,
-    /// Shared predictor-cache hits, merged over shards. Stays 0 (and
-    /// serialization-invisible together with the other cache fields) for
-    /// services without a predictor cache.
+    /// Shared predictor-cache hits. Stays 0 (and serialization-invisible
+    /// together with the miss counter) for services without a predictor
+    /// cache, so pre-cache snapshots stay byte-identical.
     pub cache_hits: u64,
-    /// Shared predictor-cache misses, merged over shards.
+    /// Shared predictor-cache misses — equal to the cached values, since
+    /// every miss inserts exactly one.
     pub cache_misses: u64,
-    /// Per-shard occupancy (cached values per shard, in shard order) of
-    /// the shared predictor cache. **Empty for cacheless services** — and
-    /// omitted from the wire form when empty alongside zero counters, so
-    /// pre-cache snapshots stay byte-identical.
-    pub cache_shards: Vec<u64>,
 }
 
 impl HealthSnapshot {
@@ -151,7 +147,7 @@ impl HealthSnapshot {
             }
             out.push(']');
         }
-        if self.cache_hits != 0 || self.cache_misses != 0 || !self.cache_shards.is_empty() {
+        if self.cache_hits != 0 || self.cache_misses != 0 {
             let total = self.cache_hits + self.cache_misses;
             let rate = if total == 0 {
                 0.0
@@ -163,14 +159,6 @@ impl HealthSnapshot {
                 ",\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{}",
                 self.cache_hits, self.cache_misses, rate,
             );
-            out.push_str(",\"cache_shards\":[");
-            for (i, occupancy) in self.cache_shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{occupancy}");
-            }
-            out.push(']');
         }
         out.push('}');
         out
@@ -200,7 +188,6 @@ mod tests {
             fleet: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
-            cache_shards: Vec::new(),
         }
     }
 
@@ -286,18 +273,15 @@ mod tests {
         let snap = HealthSnapshot {
             cache_hits: 90,
             cache_misses: 10,
-            cache_shards: vec![3, 0, 4, 3],
             ..base()
         };
         assert!(
-            snap.to_json().ends_with(
-                ",\"cache_hits\":90,\"cache_misses\":10,\"cache_hit_rate\":0.9,\
-                 \"cache_shards\":[3,0,4,3]}"
-            ),
+            snap.to_json()
+                .ends_with(",\"cache_hits\":90,\"cache_misses\":10,\"cache_hit_rate\":0.9}"),
             "{}",
             snap.to_json()
         );
-        // Counters without per-shard detail (or vice versa) still surface.
+        // Misses alone still surface the block.
         let sparse = HealthSnapshot {
             cache_misses: 1,
             ..base()

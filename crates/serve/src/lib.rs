@@ -75,11 +75,13 @@ mod tier;
 
 pub use adapt::{
     audit_is_well_formed, audit_is_well_formed_with, spearman, AdaptConfig, AdaptEvent,
-    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot,
-    StalenessReport, DEFAULT_AUDIT_CAP,
+    AdaptStatus, AdaptationController, AuditCarry, DriftMonitor, ModelSlot, StalenessReport,
+    DEFAULT_AUDIT_CAP,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use chaos::{AdaptFault, AdaptFaultKind, ChaosPlan, ChaosPredictor, ServeFault, ServeFaultKind};
+pub use chaos::{
+    AdaptFault, AdaptFaultKind, ChaosPlan, ChaosPredictor, ServeFault, ServeFaultKind,
+};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::ServeError;
 pub use health::{DeviceGeneration, HealthSnapshot};

@@ -1,12 +1,12 @@
 //! The multi-tenant search service: whole sweep jobs behind admission
-//! control, one sharded predictor cache shared by every tenant.
+//! control, one predictor cache shared by every tenant.
 //!
 //! `PredictorService` serves single *queries*; this module serves whole
 //! *searches*. A [`SearchService`] accepts [`SearchJob`] sweeps from named
 //! tenants, queues them under the shared [`AdmissionPolicy`] watermarks
 //! *plus* a per-tenant [`TenantQuota`], and executes everything queued on
 //! the runtime's `JobScheduler`/supervisor substrate through one
-//! [`CachedPredictor`] — the sharded cache is the scale-out asset: tenants
+//! [`CachedPredictor`] — the shared cache is the scale-out asset: tenants
 //! sweeping neighbouring targets hit each other's cached predictions, so
 //! the fleet-wide cost of "search once per tenant" approaches the cost of
 //! searching once, which is the paper's premise operationalized.
@@ -58,7 +58,7 @@ impl Default for TenantQuota {
 }
 
 /// Knobs of a [`SearchService`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchServiceConfig {
     /// Shared watermarks over the total queued-job depth (all tenants).
     pub admission: AdmissionPolicy,
@@ -66,22 +66,8 @@ pub struct SearchServiceConfig {
     pub default_quota: TenantQuota,
     /// Per-tenant quota overrides (e.g. a paying tenant gets more).
     pub quotas: HashMap<String, TenantQuota>,
-    /// How many shards the shared predictor cache is split across.
-    pub cache_shards: usize,
     /// How each drained batch executes (workers, retries, checkpoints, …).
     pub sweep: SweepOptions,
-}
-
-impl Default for SearchServiceConfig {
-    fn default() -> Self {
-        Self {
-            admission: AdmissionPolicy::default(),
-            default_quota: TenantQuota::default(),
-            quotas: HashMap::new(),
-            cache_shards: lightnas_predictor::DEFAULT_CACHE_SHARDS,
-            sweep: SweepOptions::default(),
-        }
-    }
 }
 
 impl SearchServiceConfig {
@@ -277,15 +263,14 @@ pub struct SearchService<'a, P: Predictor + Sync> {
 }
 
 impl<'a, P: Predictor + Sync> SearchService<'a, P> {
-    /// A service over `predictor`, wrapped in a fresh sharded cache with
-    /// [`SearchServiceConfig::cache_shards`] shards.
+    /// A service over `predictor`, wrapped in a fresh shared cache.
     pub fn new(
         oracle: &'a AccuracyOracle,
         predictor: &'a P,
         config: SearchServiceConfig,
         telemetry: Option<&'a Telemetry>,
     ) -> Self {
-        let cached = CachedPredictor::with_shards(predictor, config.cache_shards);
+        let cached = CachedPredictor::new(predictor);
         Self {
             oracle,
             cached,
@@ -305,12 +290,12 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
         &self.config
     }
 
-    /// The shared cache's merged hit/miss counters.
+    /// The shared cache's hit/miss counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cached.stats()
     }
 
-    /// A per-shard-consistent snapshot of the shared cache.
+    /// A consistent snapshot of the shared cache.
     pub fn cache_snapshot(&self) -> CacheSnapshot {
         self.cached.snapshot()
     }
@@ -555,7 +540,6 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
                     ("cache_hits", Field::U(snap.stats.hits)),
                     ("cache_misses", Field::U(snap.stats.misses)),
                     ("cache_hit_rate", Field::F(snap.stats.hit_rate())),
-                    ("cache_shards", Field::U(snap.shards.len() as u64)),
                     (
                         "cached_values",
                         Field::U((snap.predictions + snap.gradients) as u64),
@@ -569,15 +553,15 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
     /// Health/readiness snapshot. Sweep counters map onto the shared
     /// [`HealthSnapshot`] vocabulary (`submitted`/`served`/rejections count
     /// *sweeps*; `queue_depth` counts queued *jobs*), and the shared
-    /// cache's counters and per-shard occupancy ride along in the cache
-    /// fields — zero/empty (and serialization-invisible) for services
-    /// without a cache, exactly like the adaptation and fleet blocks.
+    /// cache's counters ride along in the cache fields — zero (and
+    /// serialization-invisible) for services without a cache, exactly like
+    /// the adaptation and fleet blocks.
     pub fn health(&self) -> HealthSnapshot {
         let (queue_depth, draining) = {
             let state = self.lock_state();
             (state.queued_jobs, state.draining)
         };
-        let snap = self.cached.snapshot();
+        let stats = self.cached.stats();
         HealthSnapshot {
             ready: !draining,
             draining,
@@ -594,13 +578,8 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             staleness_samples: 0,
             staleness_age: std::time::Duration::ZERO,
             fleet: Vec::new(),
-            cache_hits: snap.stats.hits,
-            cache_misses: snap.stats.misses,
-            cache_shards: snap
-                .shards
-                .iter()
-                .map(|s| (s.predictions + s.gradients) as u64)
-                .collect(),
+            cache_hits: stats.hits,
+            cache_misses: stats.misses,
         }
     }
 }

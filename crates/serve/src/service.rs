@@ -531,7 +531,6 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
             // slot, not a predictor cache; the cache block stays invisible.
             cache_hits: 0,
             cache_misses: 0,
-            cache_shards: Vec::new(),
         }
     }
 

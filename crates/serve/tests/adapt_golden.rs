@@ -73,8 +73,7 @@ fn run_hash() -> (u64, Vec<AdaptEvent>) {
         cooldown: 8,
         ..AdaptConfig::default()
     };
-    let mut ctl =
-        AdaptationController::new(&slot, &clock, config).with_telemetry(&telemetry);
+    let mut ctl = AdaptationController::new(&slot, &clock, config).with_telemetry(&telemetry);
     let plan = FaultSchedule::new(vec![
         AdaptFault {
             at_sample: 40,

@@ -277,7 +277,13 @@ fn splitmix(state: &mut u64) -> u64 {
 fn sparse_lhs(rows: usize, groups: usize, group: usize, mode: u8, seed: u64) -> Tensor {
     let cols = groups * group;
     let mut s = seed;
-    let zero = |s: &mut u64| if splitmix(s) % 3 == 0 { -0.0 } else { 0.0 };
+    let zero = |s: &mut u64| {
+        if splitmix(s).is_multiple_of(3) {
+            -0.0
+        } else {
+            0.0
+        }
+    };
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows {
         let density = [0u64, 5, 10, 20, 50][(splitmix(&mut s) % 5) as usize];
@@ -295,7 +301,7 @@ fn sparse_lhs(rows: usize, groups: usize, group: usize, mode: u8, seed: u64) -> 
                     } else {
                         (splitmix(&mut s) % 1000) as f32 / 250.0 + 0.001
                     };
-                    if splitmix(&mut s) % 4 == 0 {
+                    if splitmix(&mut s).is_multiple_of(4) {
                         -mag
                     } else {
                         mag
