@@ -1,10 +1,10 @@
 //! Golden lock on the single-device adaptation loop: a scripted
 //! [`AdaptationController`] run — cheap linear model, every
 //! [`AdaptFaultKind`], several retrain cycles — must reproduce the exact
-//! audit trail and `adapt_*` telemetry recorded when the retrain still ran
-//! inside the controller. The shadow is now fitted by the caller right
-//! after `ingest`, on the same tick, so each `RetrainStarted` keeps its
-//! sample index and window and each `adapt_retrain` line its `t_us`.
+//! audit trail and `adapt_*` telemetry recorded while the controller still
+//! trained shadows itself. Fitting the shadow right after `ingest`, on the
+//! same tick, is what keeps each `RetrainStarted`'s sample index and window
+//! and each `adapt_retrain` line's `t_us`.
 //!
 //! ```text
 //! cargo test --release -p lightnas-serve --test adapt_golden
