@@ -47,15 +47,15 @@ use std::time::{Duration, Instant};
 
 use lightnas_bench::{render_table, Harness};
 use lightnas_fleet::{
-    fleet_audit_is_well_formed, predictor_rmse, transfer_predictor, DeviceFleet, DeviceSpec,
-    FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind, MonotoneMap,
-    TransferOptions, TransferredPredictor,
+    fleet_audit_is_well_formed, fleet_health_json, predictor_rmse, transfer_predictor, DeviceFleet,
+    DeviceSpec, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind,
+    MonotoneMap, TransferOptions, TransferredPredictor,
 };
 use lightnas_hw::{DriftSchedule, DriftStream};
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, Predictor, TrainConfig};
 use lightnas_runtime::{FaultSchedule, Telemetry};
 use lightnas_serve::{
-    spearman, AdaptConfig, AdaptEvent, BreakerState, Clock, HealthSnapshot, ModelSlot, VirtualClock,
+    spearman, AdaptConfig, AdaptEvent, Clock, HealthSnapshot, ModelSlot, VirtualClock,
 };
 
 /// The fleet's serving-model type: one shape for proxy and targets alike.
@@ -407,22 +407,7 @@ fn run_soak(
     // a request path.
     let snapshot = HealthSnapshot {
         ready: true,
-        draining: false,
-        queue_depth: 0,
-        breaker: BreakerState::Closed,
-        submitted: 0,
-        served: 0,
-        degraded: 0,
-        rejected_overloaded: 0,
-        rejected_draining: 0,
-        deadline_expired: 0,
-        batches: 0,
-        model_generation: 0,
-        staleness_samples: 0,
-        staleness_age: Duration::ZERO,
-        fleet: fa.device_generations(),
-        cache_hits: 0,
-        cache_misses: 0,
+        ..HealthSnapshot::default()
     };
     SoakResult {
         generations: slots.iter().map(ModelSlot::generation).collect(),
@@ -434,7 +419,7 @@ fn run_soak(
         now: clock.now(),
         max_wait: fa.max_admission_wait(),
         queue_len: fa.queue_len(),
-        rollup_json: snapshot.to_json(),
+        rollup_json: fleet_health_json(&snapshot, &fa.device_generations()),
         audit: fa.audit().to_vec(),
     }
 }
@@ -509,7 +494,6 @@ fn eval_device(
 
 fn main() -> ExitCode {
     let wall = Instant::now();
-    lightnas_tensor::kernels::init_threads_from_env();
     let h = Harness::standard();
     let fleet = DeviceFleet::standard();
     eprintln!("[fleet_drift_soak] harness ready in {:.1?}", wall.elapsed());

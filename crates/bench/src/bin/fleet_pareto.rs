@@ -89,7 +89,7 @@ fn corpus(spec: &DeviceSpec, space: &SearchSpace, n: usize) -> MetricDataset {
 
 fn main() -> ExitCode {
     let quick = quick_mode();
-    let threads = lightnas_tensor::kernels::init_threads_from_env();
+    let threads = lightnas_tensor::kernels::num_threads();
     if threads > 1 {
         eprintln!("[fleet] tensor kernels on {threads} threads");
     }

@@ -32,7 +32,16 @@ use lightnas_bench::render_table;
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig};
 use lightnas_space::SearchSpace;
 use lightnas_tensor::tolerance::ReductionBound;
-use lightnas_tensor::{kernels, set_kernel_mode, Conv2dSpec, KernelMode, Tensor};
+use lightnas_tensor::{Conv2dSpec, KernelCtx, KernelMode, Tensor};
+
+/// The current ctx with `mode` at `threads` kernel threads.
+fn ctx(mode: KernelMode, threads: usize) -> KernelCtx {
+    KernelCtx {
+        mode,
+        threads,
+        ..KernelCtx::current()
+    }
+}
 
 /// Median wall time of `f` over `reps` runs, in microseconds.
 fn time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -109,8 +118,7 @@ fn tier_error(fast: &[f32], strict: &[f32], scale: &[f32], bound: ReductionBound
 }
 
 /// Times the fast tier at 1 and 4 threads and checks its output against
-/// the strict `reference` under `bound`; call with strict mode active,
-/// leaves strict mode active.
+/// the strict `reference` under `bound`.
 fn measure_tier(
     reps: usize,
     reference: &[f32],
@@ -118,15 +126,11 @@ fn measure_tier(
     bound: ReductionBound,
     mut run: impl FnMut() -> Tensor,
 ) -> FastTier {
-    set_kernel_mode(KernelMode::Fast);
-    kernels::set_num_threads(1);
-    let out = run();
+    let (fast1, fast4) = (ctx(KernelMode::Fast, 1), ctx(KernelMode::Fast, 4));
+    let out = fast1.scope(&mut run);
     let (max_rel_err, bound_util) = tier_error(out.as_slice(), reference, scale, bound);
-    let t1_us = time_us(reps, &mut run);
-    kernels::set_num_threads(4);
-    let t4_us = time_us(reps, &mut run);
-    kernels::set_num_threads(1);
-    set_kernel_mode(KernelMode::Strict);
+    let t1_us = fast1.scope(|| time_us(reps, &mut run));
+    let t4_us = fast4.scope(|| time_us(reps, &mut run));
     FastTier {
         t1_us,
         t4_us,
@@ -139,20 +143,18 @@ fn measure_tier(
 fn conv_row(name: &str, x: &Tensor, w: &Tensor, spec: Conv2dSpec, reps: usize) -> Row {
     let reference = lightnas_tensor::conv2d_forward_ref(x, w, spec);
     for threads in [1usize, 4] {
-        kernels::set_num_threads(threads);
-        let fast = lightnas_tensor::conv2d_forward(x, w, spec);
+        let fast =
+            ctx(KernelMode::Strict, threads).scope(|| lightnas_tensor::conv2d_forward(x, w, spec));
         assert_eq!(
             fnv(fast.as_slice()),
             fnv(reference.as_slice()),
             "{name}: fast conv at {threads} threads diverged from the naive reference"
         );
     }
-    kernels::set_num_threads(1);
     let naive_us = time_us(reps, || lightnas_tensor::conv2d_forward_ref(x, w, spec));
     let fast_us = time_us(reps, || lightnas_tensor::conv2d_forward(x, w, spec));
-    kernels::set_num_threads(4);
-    let fast4_us = time_us(reps, || lightnas_tensor::conv2d_forward(x, w, spec));
-    kernels::set_num_threads(1);
+    let fast4_us = ctx(KernelMode::Strict, 4)
+        .scope(|| time_us(reps, || lightnas_tensor::conv2d_forward(x, w, spec)));
     let scale = lightnas_tensor::conv2d_forward(&abs_tensor(x), &abs_tensor(w), spec);
     let cin = x.shape().dims()[1];
     let tier = measure_tier(
@@ -172,6 +174,11 @@ fn conv_row(name: &str, x: &Tensor, w: &Tensor, spec: Conv2dSpec, reps: usize) -
 }
 
 fn main() -> ExitCode {
+    // Strict and serial unless a row scopes otherwise.
+    ctx(KernelMode::Strict, 1).scope(run)
+}
+
+fn run() -> ExitCode {
     let reps = 15;
     let mut rows: Vec<Row> = Vec::new();
 
@@ -214,19 +221,17 @@ fn main() -> ExitCode {
         let b = Tensor::uniform(&[320, 256], -1.0, 1.0, 31);
         let reference = lightnas_tensor::matmul_ref(&a, &b);
         for threads in [1usize, 4] {
-            kernels::set_num_threads(threads);
             assert_eq!(
-                fnv(a.matmul(&b).as_slice()),
+                fnv(ctx(KernelMode::Strict, threads)
+                    .scope(|| a.matmul(&b))
+                    .as_slice()),
                 fnv(reference.as_slice()),
                 "matmul at {threads} threads diverged from the naive reference"
             );
         }
-        kernels::set_num_threads(1);
         let naive_us = time_us(reps, || lightnas_tensor::matmul_ref(&a, &b));
         let fast_us = time_us(reps, || a.matmul(&b));
-        kernels::set_num_threads(4);
-        let fast4_us = time_us(reps, || a.matmul(&b));
-        kernels::set_num_threads(1);
+        let fast4_us = ctx(KernelMode::Strict, 4).scope(|| time_us(reps, || a.matmul(&b)));
         let scale = abs_tensor(&a).matmul(&abs_tensor(&b));
         let tier = measure_tier(
             reps,
@@ -276,9 +281,8 @@ fn main() -> ExitCode {
                 .collect::<Vec<f64>>()
         });
         let fast_us = time_us(reps, || predictor.predict_batch(&encodings));
-        kernels::set_num_threads(4);
-        let fast4_us = time_us(reps, || predictor.predict_batch(&encodings));
-        kernels::set_num_threads(1);
+        let fast4_us = ctx(KernelMode::Strict, 4)
+            .scope(|| time_us(reps, || predictor.predict_batch(&encodings)));
         // Σ|terms| is not observable through the frozen network, so the
         // honest scale for end-to-end predictions is |prediction| + 1 and
         // the bound is the summed layer depth (as the serve tier test pins).

@@ -47,7 +47,7 @@ use lightnas_predictor::{
 use lightnas_serve::{PredictorService, Request, ServiceConfig, ServingTier, VirtualClock};
 use lightnas_space::SearchSpace;
 use lightnas_tensor::tolerance::ReductionBound;
-use lightnas_tensor::{set_kernel_mode, KernelMode};
+use lightnas_tensor::KernelCtx;
 
 const QUERIES: usize = 256;
 /// Stay under the service's default admission watermark.
@@ -61,26 +61,34 @@ fn pass_us(f: &mut dyn FnMut()) -> f64 {
     t.elapsed().as_secs_f64() * 1e6
 }
 
+/// The current ctx running `tier`'s kernel mode.
+fn tier_ctx(tier: ServingTier) -> KernelCtx {
+    KernelCtx {
+        mode: tier.kernel_mode(),
+        ..KernelCtx::current()
+    }
+}
+
 fn serve_burst(
     tier: ServingTier,
     deployed: &MlpPredictor,
     lut: &LutPredictor,
     encs: &[Vec<f32>],
 ) -> Vec<f64> {
-    tier.activate();
     let clock = VirtualClock::new();
     let service = PredictorService::new(deployed, lut, &clock, ServiceConfig::default());
-    for wave in encs.chunks(WAVE) {
-        for e in wave {
-            service
-                .submit(Request::new(e.clone()))
-                .expect("burst stays under the admission watermark");
+    tier_ctx(tier).scope(|| {
+        for wave in encs.chunks(WAVE) {
+            for e in wave {
+                service
+                    .submit(Request::new(e.clone()))
+                    .expect("burst stays under the admission watermark");
+            }
+            while service.pump() > 0 {}
         }
-        while service.pump() > 0 {}
-    }
+    });
     let mut served = service.take_responses();
     served.sort_by_key(|s| s.id);
-    set_kernel_mode(KernelMode::Strict);
     served
         .into_iter()
         .map(|s| s.outcome.expect("no deadlines in the burst").value)
@@ -93,6 +101,11 @@ struct Lane {
 }
 
 fn main() -> ExitCode {
+    // Strict unless a lane scopes a fast tier.
+    tier_ctx(ServingTier::Strict).scope(run)
+}
+
+fn run() -> ExitCode {
     let space = SearchSpace::standard();
     let device = Xavier::maxn();
     let data = MetricDataset::sample(&device, &space, Metric::LatencyMs, 1200, 23);
@@ -109,7 +122,6 @@ fn main() -> ExitCode {
     let encs: Vec<Vec<f32>> = data.encodings()[..QUERIES].to_vec();
 
     // --- correctness gates before any timing.
-    set_kernel_mode(KernelMode::Strict);
     let strict: Vec<f64> = encs.iter().map(|e| mlp.predict_encoding(e)).collect();
     let batched = mlp.predict_encodings(&encs);
     assert!(
@@ -123,25 +135,21 @@ fn main() -> ExitCode {
     let scale: Vec<f32> = strict32.iter().map(|p| p.abs() + 1.0).collect();
     let depth_bound = ReductionBound::matmul(154 + 128 + 64);
     let fast_model = ServingTier::Fast.prepare(&mlp);
-    ServingTier::Fast.activate();
-    let fast_answers: Vec<f32> = fast_model
-        .predict_encodings(&encs)
+    let fast_answers: Vec<f32> = tier_ctx(ServingTier::Fast)
+        .scope(|| fast_model.predict_encodings(&encs))
         .iter()
         .map(|&v| v as f32)
         .collect();
-    set_kernel_mode(KernelMode::Strict);
     if let Err(v) = depth_bound.check(&fast_answers, &strict32, &scale) {
         eprintln!("error: fast tier broke the predictor-depth bound: {v}");
         return ExitCode::FAILURE;
     }
     let f16_model = ServingTier::FastF16.prepare(&mlp);
-    ServingTier::FastF16.activate();
-    let f16_answers: Vec<f32> = f16_model
-        .predict_encodings(&encs)
+    let f16_answers: Vec<f32> = tier_ctx(ServingTier::FastF16)
+        .scope(|| f16_model.predict_encodings(&encs))
         .iter()
         .map(|&v| v as f32)
         .collect();
-    set_kernel_mode(KernelMode::Strict);
     for (i, (got, want)) in f16_answers.iter().zip(&strict32).enumerate() {
         if (got - want).abs() > 2.0f32.powi(-8) * scale[i] {
             eprintln!("error: f16 tier answer {i} drifted {got} vs {want}");
@@ -184,24 +192,20 @@ fn main() -> ExitCode {
     for round in 0..=reps {
         let us = [
             pass_us(&mut || {
-                set_kernel_mode(KernelMode::Strict);
                 for e in &encs {
                     std::hint::black_box(mlp.predict_encoding(e));
                 }
             }),
             pass_us(&mut || {
-                set_kernel_mode(KernelMode::Strict);
                 std::hint::black_box(mlp.predict_encodings(&encs));
             }),
             pass_us(&mut || {
-                ServingTier::Fast.activate();
-                std::hint::black_box(fast_model.predict_encodings(&encs));
-                set_kernel_mode(KernelMode::Strict);
+                tier_ctx(ServingTier::Fast)
+                    .scope(|| std::hint::black_box(fast_model.predict_encodings(&encs)));
             }),
             pass_us(&mut || {
-                ServingTier::FastF16.activate();
-                std::hint::black_box(f16_model.predict_encodings(&encs));
-                set_kernel_mode(KernelMode::Strict);
+                tier_ctx(ServingTier::FastF16)
+                    .scope(|| std::hint::black_box(f16_model.predict_encodings(&encs)));
             }),
             pass_us(&mut || {
                 std::hint::black_box(serve_burst(ServingTier::Fast, &fast_model, &lut, &encs));

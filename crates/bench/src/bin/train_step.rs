@@ -68,7 +68,7 @@ use lightnas_nn::layers::Mlp;
 use lightnas_nn::optim::{Adam, Sgd};
 use lightnas_nn::{Bindings, ParamStore};
 use lightnas_space::{Architecture, SearchSpace};
-use lightnas_tensor::{kernels, set_kernel_mode, Graph, KernelMode, Tensor};
+use lightnas_tensor::{Graph, KernelCtx, KernelMode, Tensor};
 
 const INPUT_WIDTH: usize = 154;
 const MLP_BATCH: usize = 512;
@@ -291,13 +291,10 @@ impl Workload for FitStep {
     }
 }
 
-/// Forward / backward / optimizer µs per predictor fit step: strict tier,
-/// SIMD, one thread, one reset-reused tape; per phase the minimum over
-/// `reps` passes of `steps` steps.
+/// Forward / backward / optimizer µs per predictor fit step under the
+/// caller's ctx, one reset-reused tape; per phase the minimum over `reps`
+/// passes of `steps` steps.
 fn fit_split_us(w: &mut FitStep, steps: usize, reps: usize) -> [f64; 3] {
-    set_kernel_mode(KernelMode::Strict);
-    lightnas_tensor::set_simd_enabled(true);
-    kernels::set_num_threads(1);
     let mut best = [f64::INFINITY; 3];
     for round in 0..=reps {
         w.reset_state();
@@ -342,16 +339,33 @@ fn run_reused(w: &mut dyn Workload, steps: usize) {
     }
 }
 
+/// A kernel ctx with no tile pin.
+fn ctx(mode: KernelMode, simd: bool, threads: usize) -> KernelCtx {
+    KernelCtx {
+        mode,
+        threads,
+        simd,
+        tile: None,
+    }
+}
+
+/// Runs `steps` steps under `ctx` from freshly seeded state, on one reused
+/// tape or a fresh tape per step.
+fn run_in(ctx: KernelCtx, w: &mut dyn Workload, steps: usize, reused: bool) {
+    ctx.scope(|| {
+        w.reset_state();
+        if reused {
+            run_reused(w, steps);
+        } else {
+            run_fresh(w, steps);
+        }
+    });
+}
+
 /// Final-weights hash after `steps` steps under a configuration; state is
 /// rebuilt from the seed first so runs are comparable.
-fn hash_after(w: &mut dyn Workload, steps: usize, reused: bool, simd: bool) -> u64 {
-    lightnas_tensor::set_simd_enabled(simd);
-    w.reset_state();
-    if reused {
-        run_reused(w, steps);
-    } else {
-        run_fresh(w, steps);
-    }
+fn hash_after(w: &mut dyn Workload, steps: usize, reused: bool, ctx: KernelCtx) -> u64 {
+    run_in(ctx, w, steps, reused);
     w.weights_hash()
 }
 
@@ -381,20 +395,19 @@ impl Row {
 
 fn bench_workload(w: &mut dyn Workload, steps: usize, reps: usize) -> Row {
     // --- correctness gate: every configuration must land on the same bits.
-    kernels::set_num_threads(1);
-    let want = hash_after(w, steps, false, false);
+    let strict = |simd, threads| ctx(KernelMode::Strict, simd, threads);
+    let want = hash_after(w, steps, false, strict(false, 1));
     for (reused, simd) in [(false, true), (true, false), (true, true)] {
         assert_eq!(
-            hash_after(w, steps, reused, simd),
+            hash_after(w, steps, reused, strict(simd, 1)),
             want,
             "{}: reused={reused} simd={simd} diverged from the baseline bits",
             w.name()
         );
     }
     for threads in [2usize, 4] {
-        kernels::set_num_threads(threads);
         assert_eq!(
-            hash_after(w, steps, true, true),
+            hash_after(w, steps, true, strict(true, threads)),
             want,
             "{}: {threads} kernel threads diverged from the baseline bits",
             w.name()
@@ -404,18 +417,11 @@ fn bench_workload(w: &mut dyn Workload, steps: usize, reps: usize) -> Row {
     // --- tolerance gate: the fast tier gives up bit-identity, so its
     // contract is the trajectory bound — final weights within
     // 1e-3 · (max |w| + 1) of the strict bits after the same steps.
-    kernels::set_num_threads(1);
-    lightnas_tensor::set_simd_enabled(true);
-    w.reset_state();
-    run_reused(w, steps);
+    run_in(strict(true, 1), w, steps, true);
     let strict_weights = w.weights();
     let weight_scale = strict_weights.iter().fold(0.0f32, |m, v| m.max(v.abs()));
     for threads in [1usize, 4] {
-        kernels::set_num_threads(threads);
-        set_kernel_mode(KernelMode::Fast);
-        w.reset_state();
-        run_reused(w, steps);
-        set_kernel_mode(KernelMode::Strict);
+        run_in(ctx(KernelMode::Fast, true, threads), w, steps, true);
         let worst = w
             .weights()
             .iter()
@@ -435,75 +441,35 @@ fn bench_workload(w: &mut dyn Workload, steps: usize, reps: usize) -> Row {
     // co-tenants) lands on all of them instead of biasing whichever block
     // ran during a quiet window. State is rebuilt before every pass;
     // every regime runs the identical arithmetic per step.
-    #[derive(Clone, Copy)]
-    struct Config {
-        mode: KernelMode,
-        simd: bool,
-        reused: bool,
-        threads: usize,
-    }
+    // (ctx, reused tape) per configuration.
     let configs = [
         // the pre-change regime: portable kernel, fresh tape
-        Config {
-            mode: KernelMode::Strict,
-            simd: false,
-            reused: false,
-            threads: 1,
-        },
-        Config {
-            mode: KernelMode::Strict,
-            simd: true,
-            reused: true,
-            threads: 1,
-        },
-        Config {
-            mode: KernelMode::Strict,
-            simd: true,
-            reused: true,
-            threads: 2,
-        },
-        Config {
-            mode: KernelMode::Strict,
-            simd: true,
-            reused: true,
-            threads: 4,
-        },
-        Config {
-            mode: KernelMode::Fast,
-            simd: true,
-            reused: true,
-            threads: 1,
-        },
-        Config {
-            mode: KernelMode::Fast,
-            simd: true,
-            reused: true,
-            threads: 4,
-        },
+        (strict(false, 1), false),
+        (strict(true, 1), true),
+        (strict(true, 2), true),
+        (strict(true, 4), true),
+        (ctx(KernelMode::Fast, true, 1), true),
+        (ctx(KernelMode::Fast, true, 4), true),
     ];
     let mut best_us = [f64::INFINITY; 6];
     for round in 0..=reps {
-        for (slot, c) in configs.iter().enumerate() {
-            set_kernel_mode(c.mode);
-            lightnas_tensor::set_simd_enabled(c.simd);
-            kernels::set_num_threads(c.threads);
-            w.reset_state();
-            let t = Instant::now();
-            if c.reused {
-                run_reused(w, steps);
-            } else {
-                run_fresh(w, steps);
-            }
-            let us = t.elapsed().as_secs_f64() * 1e6 / steps as f64;
+        for (slot, &(c, reused)) in configs.iter().enumerate() {
+            let us = c.scope(|| {
+                w.reset_state();
+                let t = Instant::now();
+                if reused {
+                    run_reused(w, steps);
+                } else {
+                    run_fresh(w, steps);
+                }
+                t.elapsed().as_secs_f64() * 1e6 / steps as f64
+            });
             // round 0 is warm-up only: pools grow, fast tiles autotune.
             if round > 0 {
                 best_us[slot] = best_us[slot].min(us);
             }
         }
     }
-    set_kernel_mode(KernelMode::Strict);
-    lightnas_tensor::set_simd_enabled(true);
-    kernels::set_num_threads(1);
     Row {
         name: w.name().to_string(),
         baseline_sps: 1e6 / best_us[0],
@@ -523,7 +489,9 @@ fn main() -> ExitCode {
         bench_workload(&mut supernet, steps, reps),
         bench_workload(&mut fit, steps, reps),
     ];
-    rows[2].split_us = Some(fit_split_us(&mut fit, 4 * steps, reps));
+    // Strict tier, SIMD, one thread.
+    let strict = ctx(KernelMode::Strict, true, 1);
+    rows[2].split_us = Some(strict.scope(|| fit_split_us(&mut fit, 4 * steps, reps)));
     // The acceptance bars cover the mlp and supernet rows they were set on.
     let barred = &rows[..2];
 

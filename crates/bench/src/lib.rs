@@ -67,7 +67,7 @@ impl Harness {
     /// predictor on the 80% fold and builds the LUT.
     pub fn standard() -> Self {
         let quick = quick_mode();
-        let threads = lightnas_tensor::kernels::init_threads_from_env();
+        let threads = lightnas_tensor::kernels::num_threads();
         if threads > 1 {
             eprintln!("[harness] tensor kernels on {threads} threads (bit-identical to serial)");
         }

@@ -48,7 +48,7 @@ use std::collections::VecDeque;
 use lightnas_predictor::BatchPredictor;
 use lightnas_runtime::{events, Field, JobScheduler, Telemetry};
 use lightnas_serve::{
-    audit_is_well_formed, AdaptConfig, AdaptEvent, AdaptationController, Clock, DeviceGeneration,
+    audit_is_well_formed, AdaptConfig, AdaptEvent, AdaptationController, Clock, HealthSnapshot,
     ModelSlot,
 };
 
@@ -394,9 +394,8 @@ impl<'a, P: BatchPredictor + Clone + Send + Sync> FleetAdaptation<'a, P> {
         self.controllers[device].arm_bad_deploy(bias_ms);
     }
 
-    /// The per-device generation/staleness rollup for a fleet-level
-    /// [`HealthSnapshot`](lightnas_serve::HealthSnapshot) (its `fleet`
-    /// field).
+    /// The per-device generation/staleness rollup for a fleet-level health
+    /// report ([`fleet_health_json`]).
     pub fn device_generations(&self) -> Vec<DeviceGeneration> {
         (0..self.len())
             .map(|i| DeviceGeneration {
@@ -692,6 +691,44 @@ impl<'a, P: BatchPredictor + Clone + Send + Sync> FleetAdaptation<'a, P> {
     }
 }
 
+/// One fleet device's adaptation state, as rolled up into a fleet-level
+/// health report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeviceGeneration {
+    /// Device name from the fleet registry (e.g. `"phone-a76"`).
+    pub device: String,
+    /// Deployment generation of that device's serving model.
+    pub model_generation: u64,
+    /// Live samples that device has ingested since its last model swap.
+    pub staleness_samples: u64,
+}
+
+/// Renders `health` with the per-device rollup appended as a
+/// `"fleet":[…]` array. With no devices the output is exactly
+/// [`HealthSnapshot::to_json`], so the rollup is serialization-invisible
+/// until populated.
+pub fn fleet_health_json(health: &HealthSnapshot, devices: &[DeviceGeneration]) -> String {
+    let json = health.to_json();
+    if devices.is_empty() {
+        return json;
+    }
+    let rows: Vec<String> = devices
+        .iter()
+        .map(|d| {
+            format!(
+                "{{\"device\":\"{}\",\"model_generation\":{},\"staleness_samples\":{}}}",
+                d.device, d.model_generation, d.staleness_samples
+            )
+        })
+        .collect();
+    // Splice the array in before the snapshot's closing brace.
+    format!(
+        "{},\"fleet\":[{}]}}",
+        &json[..json.len() - 1],
+        rows.join(",")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,5 +916,39 @@ mod tests {
             fleet.max_admission_wait()
         );
         assert!(fleet_audit_is_well_formed(2, fleet.audit()));
+    }
+
+    #[test]
+    fn fleet_rollup_is_serialization_invisible_until_populated() {
+        let health = HealthSnapshot {
+            ready: true,
+            submitted: 10,
+            served: 7,
+            ..HealthSnapshot::default()
+        };
+        // Empty fleet: byte-identical to the single-device wire form.
+        assert_eq!(fleet_health_json(&health, &[]), health.to_json());
+        assert!(!fleet_health_json(&health, &[]).contains("fleet"));
+        let devices = [
+            DeviceGeneration {
+                device: "phone-a76".into(),
+                model_generation: 2,
+                staleness_samples: 40,
+            },
+            DeviceGeneration {
+                device: "server-gpu".into(),
+                model_generation: 0,
+                staleness_samples: 512,
+            },
+        ];
+        let json = fleet_health_json(&health, &devices);
+        assert!(
+            json.ends_with(
+                ",\"fleet\":[{\"device\":\"phone-a76\",\"model_generation\":2,\
+                 \"staleness_samples\":40},{\"device\":\"server-gpu\",\
+                 \"model_generation\":0,\"staleness_samples\":512}]}"
+            ),
+            "{json}"
+        );
     }
 }

@@ -34,8 +34,8 @@ mod spec;
 mod transfer;
 
 pub use adapt::{
-    fleet_audit_is_well_formed, ColdTrainer, FleetAdaptEvent, FleetAdaptOptions, FleetAdaptation,
-    FleetFault, FleetFaultKind, WarmTrainer,
+    fleet_audit_is_well_formed, fleet_health_json, ColdTrainer, DeviceGeneration, FleetAdaptEvent,
+    FleetAdaptOptions, FleetAdaptation, FleetFault, FleetFaultKind, WarmTrainer,
 };
 pub use search::{quantile_targets, DeviceFront, FleetPoint, FleetSearch};
 pub use spec::{DeviceClass, DeviceFleet, DeviceSpec};

@@ -18,36 +18,27 @@
 //! contraction patterns; on CPUs without FMA the fast tier degrades to the
 //! strict path and every difference is exactly zero.
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
 use lightnas_nn::layers::Mlp;
 use lightnas_nn::optim::Adam;
 use lightnas_nn::{Bindings, ParamStore};
-use lightnas_tensor::{kernels, set_kernel_mode, Graph, KernelMode, Tensor};
-
-fn knob_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Restores strict single-threaded defaults even when an assertion unwinds.
-struct RestoreOnDrop;
-impl Drop for RestoreOnDrop {
-    fn drop(&mut self) {
-        set_kernel_mode(KernelMode::Strict);
-        kernels::set_num_threads(1);
-    }
-}
+use lightnas_tensor::{Graph, KernelCtx, KernelMode, Tensor};
 
 const STEPS: usize = 100;
 
-/// Runs 100 Adam steps of a 64→96→48→1 regression MLP from a fixed seed and
-/// returns (per-step losses, final flattened weights).
-fn run_trajectory(mode: KernelMode, threads: usize) -> (Vec<f32>, Vec<f32>) {
-    set_kernel_mode(mode);
-    kernels::set_num_threads(threads);
+/// Runs 100 Adam steps of a 64→96→48→1 regression MLP from a fixed seed
+/// under `mode` at `threads` kernel threads (SIMD per `simd`) and returns
+/// (per-step losses, final flattened weights).
+fn run_trajectory(mode: KernelMode, threads: usize, simd: bool) -> (Vec<f32>, Vec<f32>) {
+    let ctx = KernelCtx {
+        mode,
+        threads,
+        simd,
+        tile: None,
+    };
+    ctx.scope(trajectory)
+}
+
+fn trajectory() -> (Vec<f32>, Vec<f32>) {
     let mut store = ParamStore::new();
     let mlp = Mlp::new(&mut store, "net", &[64, 96, 48, 1], 11);
     let mut opt = Adam::new(1e-3, 1e-5);
@@ -70,16 +61,12 @@ fn run_trajectory(mode: KernelMode, threads: usize) -> (Vec<f32>, Vec<f32>) {
     for (_, _, value) in store.iter() {
         weights.extend_from_slice(value.as_slice());
     }
-    set_kernel_mode(KernelMode::Strict);
-    kernels::set_num_threads(1);
     (losses, weights)
 }
 
 #[test]
 fn hundred_step_trajectories_stay_bounded() {
-    let _guard = knob_lock();
-    let _restore = RestoreOnDrop;
-    let (strict_losses, strict_w) = run_trajectory(KernelMode::Strict, 1);
+    let (strict_losses, strict_w) = run_trajectory(KernelMode::Strict, 1, true);
     // The optimization must actually be optimizing, or "trajectories agree"
     // is vacuous.
     assert!(
@@ -90,7 +77,7 @@ fn hundred_step_trajectories_stay_bounded() {
     );
     let weight_scale = strict_w.iter().fold(0.0f32, |m, w| m.max(w.abs()));
     for threads in [1usize, 4] {
-        let (fast_losses, fast_w) = run_trajectory(KernelMode::Fast, threads);
+        let (fast_losses, fast_w) = run_trajectory(KernelMode::Fast, threads, true);
         // Loss curves track step for step: per-step relative slack 1e-3
         // (measured divergence after 100 steps is ~1e-6; headroom ~1000×).
         for (i, (f, s)) in fast_losses.iter().zip(&strict_losses).enumerate() {
@@ -117,13 +104,8 @@ fn trajectory_divergence_is_zero_when_fast_degrades_to_strict() {
     // With SIMD off the fast tier has no FMA path and must produce the
     // strict trajectory bit for bit — the degradation contract end to end
     // through a real training loop.
-    let _guard = knob_lock();
-    let _restore = RestoreOnDrop;
-    let before = lightnas_tensor::simd_enabled();
-    lightnas_tensor::set_simd_enabled(false);
-    let (strict_losses, strict_w) = run_trajectory(KernelMode::Strict, 1);
-    let (fast_losses, fast_w) = run_trajectory(KernelMode::Fast, 1);
-    lightnas_tensor::set_simd_enabled(before);
+    let (strict_losses, strict_w) = run_trajectory(KernelMode::Strict, 1, false);
+    let (fast_losses, fast_w) = run_trajectory(KernelMode::Fast, 1, false);
     assert_eq!(
         strict_losses
             .iter()

@@ -126,8 +126,7 @@ fn training_is_bit_identical_across_kernel_thread_counts() {
     // on bit-identical weights whether the tensor kernels run serial or on
     // 4 scoped threads — the layer-level face of the deterministic-reduction
     // rule the tensor crate guarantees.
-    fn train_and_hash(threads: usize) -> u64 {
-        lightnas_tensor::set_num_threads(threads);
+    fn train_and_hash() -> u64 {
         let data = ShapesDataset::generate(96, 8, 0.2, 5);
         let mut store = ParamStore::new();
         let stem = Conv2d::new(&mut store, "stem", 1, 8, 3, 1, 0);
@@ -161,10 +160,12 @@ fn training_is_bit_identical_across_kernel_thread_counts() {
         h
     }
 
-    let before = lightnas_tensor::kernels::num_threads();
-    let serial = train_and_hash(1);
-    let threaded = train_and_hash(4);
-    lightnas_tensor::set_num_threads(before);
+    let with_threads = |threads| lightnas_tensor::KernelCtx {
+        threads,
+        ..lightnas_tensor::KernelCtx::current()
+    };
+    let serial = with_threads(1).scope(train_and_hash);
+    let threaded = with_threads(4).scope(train_and_hash);
     assert_eq!(
         serial, threaded,
         "4-thread training diverged from serial ({serial:016x} vs {threaded:016x})"

@@ -17,7 +17,7 @@
 use lightnas_hw::Xavier;
 use lightnas_predictor::{Metric, MetricDataset, MlpPredictor, TrainConfig, WeightPrecision};
 use lightnas_space::SearchSpace;
-use lightnas_tensor::{kernels, set_simd_enabled, simd_enabled};
+use lightnas_tensor::KernelCtx;
 
 /// FNV-1a 64 over the f32 checkpoint bytes (standardization + every weight).
 const TRAIN_HASH: u64 = 0xef74_1287_38fd_307a;
@@ -62,13 +62,13 @@ fn fit_hashes() -> (u64, u64) {
 
 #[test]
 fn predictor_fit_reproduces_recorded_weight_bits() {
-    // The only test in this binary, so flipping the process-wide kernel
-    // knobs cannot race a sibling.
-    let (simd_before, threads_before) = (simd_enabled(), kernels::num_threads());
     for (simd, threads) in [(true, 1), (false, 1), (true, 2)] {
-        set_simd_enabled(simd);
-        kernels::set_num_threads(threads);
-        let (train, tune) = fit_hashes();
+        let ctx = KernelCtx {
+            simd,
+            threads,
+            ..KernelCtx::current()
+        };
+        let (train, tune) = ctx.scope(fit_hashes);
         eprintln!("simd={simd} threads={threads}: train {train:#018x} fine_tune {tune:#018x}");
         assert_eq!(
             (train, tune),
@@ -76,6 +76,4 @@ fn predictor_fit_reproduces_recorded_weight_bits() {
             "simd={simd} threads={threads}: fitted weights diverged from the recorded bits"
         );
     }
-    set_simd_enabled(simd_before);
-    kernels::set_num_threads(threads_before);
 }

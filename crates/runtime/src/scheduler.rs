@@ -6,6 +6,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use lightnas_tensor::KernelCtx;
+
 /// A job closure panicked; the payload is preserved as a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
@@ -47,7 +49,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// byte-identical result vectors, only the wall-clock differs.
 ///
 /// Worker threads are scoped ([`std::thread::scope`]), so the job closure
-/// may freely borrow substrates (oracle, predictor, caches) from the caller.
+/// may freely borrow substrates (oracle, predictor, caches) from the caller,
+/// and each worker runs under the caller's [`KernelCtx`].
 ///
 /// # Example
 ///
@@ -150,15 +153,18 @@ impl JobScheduler {
         let mut slots: Vec<Option<Result<T, JobPanic>>> = Vec::with_capacity(items);
         slots.resize_with(items, || None);
         let slots = Mutex::new(slots);
+        let kernel_ctx = KernelCtx::current();
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(items) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items {
-                        break;
-                    }
-                    let out = catching(i);
-                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
+                scope.spawn(|| {
+                    kernel_ctx.scope(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break;
+                        }
+                        let out = catching(i);
+                        slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
+                    })
                 });
             }
         });

@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use lightnas::{DivergencePolicy, SearchConfig, SearchOutcome};
 use lightnas_eval::AccuracyOracle;
 use lightnas_predictor::{CacheStats, CachedPredictor, Predictor};
+use lightnas_tensor::KernelCtx;
 
 use crate::fault::FaultPlan;
 use crate::scheduler::JobScheduler;
@@ -107,12 +108,13 @@ pub struct SweepOptions {
     /// identity ([`SearchJob`] / checkpoint format): it never alters a
     /// healthy trajectory. Default: [`DivergencePolicy::Abort`].
     pub divergence: DivergencePolicy,
-    /// Threads the tensor kernels may use *inside* each job
-    /// ([`lightnas_tensor::kernels::set_num_threads`]); composes with
-    /// `workers` (total ≈ `workers × kernel_threads`). `0` leaves the
-    /// process-wide setting untouched. Like `divergence`, deliberately not
-    /// part of the job identity: the kernels are bit-identical at every
-    /// thread count, so this only changes throughput. Default: 0.
+    /// Threads the tensor kernels may use *inside* each job: the sweep's
+    /// workers run under the caller's [`KernelCtx`] with this thread count;
+    /// composes with `workers` (total ≈ `workers × kernel_threads`). `0`
+    /// keeps the caller's count. The caller's own ctx is never changed.
+    /// Like `divergence`, deliberately not part of the job identity: the
+    /// kernels are bit-identical at every thread count, so this only
+    /// changes throughput. Default: 0.
     pub kernel_threads: usize,
     /// Device name stamped on every telemetry line of this sweep (fleet
     /// runs attribute their `results/runs/` JSONL per target device).
@@ -320,8 +322,9 @@ pub fn run_sweep_shared<P: Predictor + Sync>(
     faults: &FaultPlan,
 ) -> SweepReport {
     let started = Instant::now();
+    let mut kernel_ctx = KernelCtx::current();
     if opts.kernel_threads > 0 {
-        lightnas_tensor::set_num_threads(opts.kernel_threads);
+        kernel_ctx.threads = opts.kernel_threads;
     }
     let scheduler = JobScheduler::new(opts.workers);
     let cache_before = cached.stats();
@@ -351,18 +354,20 @@ pub fn run_sweep_shared<P: Predictor + Sync>(
         t.emit(events::RUN_START, &fields);
     }
 
-    let statuses: Vec<JobStatus> = scheduler
-        .run_catching(jobs.len(), |index| {
-            let ctx = JobContext {
-                oracle,
-                cached,
-                index,
-                job: jobs[index],
-                opts,
-                telemetry,
-                faults,
-            };
-            supervise_job(&ctx, &take_epoch)
+    let statuses: Vec<JobStatus> = kernel_ctx
+        .scope(|| {
+            scheduler.run_catching(jobs.len(), |index| {
+                let ctx = JobContext {
+                    oracle,
+                    cached,
+                    index,
+                    job: jobs[index],
+                    opts,
+                    telemetry,
+                    faults,
+                };
+                supervise_job(&ctx, &take_epoch)
+            })
         })
         .into_iter()
         .map(|r| {

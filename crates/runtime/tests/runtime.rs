@@ -135,8 +135,11 @@ fn sweep_with_kernel_threads_is_byte_identical_to_serial() {
         },
         None,
     );
-    assert_eq!(lightnas_tensor::kernels::num_threads(), 4);
-    lightnas_tensor::set_num_threads(before);
+    assert_eq!(
+        lightnas_tensor::kernels::num_threads(),
+        before,
+        "kernel_threads applies to the sweep's workers, not to the caller"
+    );
     assert!(report.all_completed());
     assert_eq!(
         fingerprints(&report),

@@ -19,9 +19,10 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Where the breaker is in its trip/probe/recover cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: every request may use the primary.
+    #[default]
     Closed,
     /// Tripped: the primary is off-limits until the cool-down elapses.
     Open,

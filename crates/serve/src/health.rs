@@ -12,23 +12,11 @@ use std::time::Duration;
 
 use crate::breaker::BreakerState;
 
-/// One fleet device's adaptation state, as rolled up into a fleet-level
-/// [`HealthSnapshot`]. Single-device services never populate these.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceGeneration {
-    /// Device name from the fleet registry (e.g. `"phone-a76"`).
-    pub device: String,
-    /// Deployment generation of that device's serving model.
-    pub model_generation: u64,
-    /// Live samples that device has ingested since its last model swap.
-    pub staleness_samples: u64,
-}
-
 /// One consistent-enough view of the service's state. Counters are read
 /// individually (relaxed), so a snapshot taken mid-flight may be off by the
 /// requests currently being processed — fine for health checks, which is
-/// all this is for.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// all this is for. The [`Default`] is an empty, not-ready snapshot.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HealthSnapshot {
     /// Should new traffic come here? False once draining begins.
     pub ready: bool,
@@ -63,10 +51,6 @@ pub struct HealthSnapshot {
     /// of staleness (virtual under a `VirtualClock`). Stays zero when no
     /// adaptation layer is wired.
     pub staleness_age: Duration,
-    /// Per-device generation/staleness rollup when this snapshot aggregates
-    /// a fleet. **Empty for single-device services** — and omitted from the
-    /// wire form when empty, so existing snapshots stay byte-identical.
-    pub fleet: Vec<DeviceGeneration>,
     /// Shared predictor-cache hits. Stays 0 (and serialization-invisible
     /// together with the miss counter) for services without a predictor
     /// cache, so pre-cache snapshots stay byte-identical.
@@ -133,20 +117,6 @@ impl HealthSnapshot {
                 self.staleness_age.as_micros().min(u128::from(u64::MAX)),
             );
         }
-        if !self.fleet.is_empty() {
-            out.push_str(",\"fleet\":[");
-            for (i, d) in self.fleet.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"device\":\"{}\",\"model_generation\":{},\"staleness_samples\":{}}}",
-                    d.device, d.model_generation, d.staleness_samples,
-                );
-            }
-            out.push(']');
-        }
         if self.cache_hits != 0 || self.cache_misses != 0 {
             let total = self.cache_hits + self.cache_misses;
             let rate = if total == 0 {
@@ -172,22 +142,14 @@ mod tests {
     fn base() -> HealthSnapshot {
         HealthSnapshot {
             ready: true,
-            draining: false,
             queue_depth: 2,
-            breaker: BreakerState::Closed,
             submitted: 10,
             served: 7,
             degraded: 1,
             rejected_overloaded: 2,
-            rejected_draining: 0,
             deadline_expired: 1,
             batches: 3,
-            model_generation: 0,
-            staleness_samples: 0,
-            staleness_age: Duration::ZERO,
-            fleet: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
+            ..HealthSnapshot::default()
         }
     }
 
@@ -229,41 +191,6 @@ mod tests {
             ..base()
         };
         assert!(snap.to_json().contains("\"model_generation\":0"));
-    }
-
-    #[test]
-    fn fleet_rollup_is_serialization_invisible_until_populated() {
-        // Empty fleet: byte-identical to the single-device wire form.
-        assert_eq!(base().to_json(), {
-            let mut plain = base();
-            plain.fleet = Vec::new();
-            plain.to_json()
-        });
-        assert!(!base().to_json().contains("fleet"));
-        let snap = HealthSnapshot {
-            fleet: vec![
-                DeviceGeneration {
-                    device: "phone-a76".into(),
-                    model_generation: 2,
-                    staleness_samples: 40,
-                },
-                DeviceGeneration {
-                    device: "server-gpu".into(),
-                    model_generation: 0,
-                    staleness_samples: 512,
-                },
-            ],
-            ..base()
-        };
-        assert!(
-            snap.to_json().ends_with(
-                ",\"fleet\":[{\"device\":\"phone-a76\",\"model_generation\":2,\
-                 \"staleness_samples\":40},{\"device\":\"server-gpu\",\
-                 \"model_generation\":0,\"staleness_samples\":512}]}"
-            ),
-            "{}",
-            snap.to_json()
-        );
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use chaos::{
 };
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use error::ServeError;
-pub use health::{DeviceGeneration, HealthSnapshot};
+pub use health::HealthSnapshot;
 pub use queue::{AdmissionPolicy, AdmissionQueue, Priority};
 pub use search::{
     search_audit_is_well_formed, SearchEvent, SearchServeError, SearchService, SearchServiceConfig,

@@ -35,7 +35,6 @@ use lightnas_runtime::{
     Telemetry,
 };
 
-use crate::breaker::BreakerState;
 use crate::health::HealthSnapshot;
 use crate::queue::{AdmissionPolicy, Priority};
 
@@ -555,7 +554,7 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
     /// *sweeps*; `queue_depth` counts queued *jobs*), and the shared
     /// cache's counters ride along in the cache fields — zero (and
     /// serialization-invisible) for services without a cache, exactly like
-    /// the adaptation and fleet blocks.
+    /// the adaptation block.
     pub fn health(&self) -> HealthSnapshot {
         let (queue_depth, draining) = {
             let state = self.lock_state();
@@ -566,20 +565,13 @@ impl<'a, P: Predictor + Sync> SearchService<'a, P> {
             ready: !draining,
             draining,
             queue_depth,
-            breaker: BreakerState::Closed,
             submitted: self.submitted_sweeps.load(Ordering::Relaxed),
             served: self.executed_sweeps.load(Ordering::Relaxed),
-            degraded: 0,
             rejected_overloaded: self.rejected_sweeps.load(Ordering::Relaxed),
             rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            deadline_expired: 0,
-            batches: 0,
-            model_generation: 0,
-            staleness_samples: 0,
-            staleness_age: std::time::Duration::ZERO,
-            fleet: Vec::new(),
             cache_hits: stats.hits,
             cache_misses: stats.misses,
+            ..HealthSnapshot::default()
         }
     }
 }

@@ -34,6 +34,7 @@ use std::time::Duration;
 
 use lightnas_predictor::{BatchPredictor, DegradeCause, FallbackPredictor, Predictor};
 use lightnas_runtime::{events, Field, Telemetry};
+use lightnas_tensor::KernelCtx;
 
 use crate::adapt::AdaptStatus;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -517,9 +518,6 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
             model_generation,
             staleness_samples,
             staleness_age,
-            // Single-device service: the fleet rollup is always empty here
-            // (FleetAdaptation aggregates its own snapshots).
-            fleet: Vec::new(),
             submitted: self.counters.submitted.load(Ordering::Relaxed),
             served: self.counters.served.load(Ordering::Relaxed),
             degraded: self.counters.degraded.load(Ordering::Relaxed),
@@ -569,7 +567,9 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
     /// Runs `driver` with a scoped pool of `workers` threads serving the
     /// queue concurrently; when the driver returns, the service drains
     /// (admission closes, queued work finishes), workers exit, and the
-    /// final accounting is returned alongside the driver's output.
+    /// final accounting is returned alongside the driver's output. Workers
+    /// compute under the caller's [`KernelCtx`], so a caller inside a
+    /// fast-tier scope serves on the fast tier.
     ///
     /// # Panics
     ///
@@ -584,13 +584,16 @@ impl<'a, P: BatchPredictor, F: Predictor> PredictorService<'a, P, F> {
         P: Sync,
         F: Sync,
     {
+        let kernel_ctx = KernelCtx::current();
         let out = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers.max(1))
                 .map(|_| {
                     s.spawn(|| {
-                        while let Some(batch) = self.queue.wait_batch(self.config.max_batch) {
-                            self.process_batch(batch);
-                        }
+                        kernel_ctx.scope(|| {
+                            while let Some(batch) = self.queue.wait_batch(self.config.max_batch) {
+                                self.process_batch(batch);
+                            }
+                        })
                     })
                 })
                 .collect();

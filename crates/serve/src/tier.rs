@@ -17,9 +17,14 @@
 //!   quantized exactly as an f16 checkpoint round trip would, halving
 //!   weight bytes. Arithmetic stays `f32`.
 //!
-//! The tier is decided once at deploy time: [`ServingTier::activate`] flips
-//! the process kernel mode, and [`ServingTier::prepare`] produces the
-//! predictor the service should own for that tier.
+//! The tier is decided once at deploy time: [`ServingTier::prepare`]
+//! produces the predictor the service should own for that tier, and the
+//! caller serves inside
+//! `KernelCtx { mode: tier.kernel_mode(), ..KernelCtx::current() }.scope(…)`
+//! ([`KernelCtx`](lightnas_tensor::KernelCtx)). The scope covers the
+//! service's `run_threaded` workers and leaves every other thread's kernels
+//! alone, so a fast-tier service can run next to a strict search in one
+//! process.
 
 use lightnas_predictor::MlpPredictor;
 use lightnas_tensor::KernelMode;
@@ -47,16 +52,20 @@ impl ServingTier {
     /// kernels is not a tier — the point of strict serving is bit-identity
     /// with the searched checkpoint, which quantization would break.
     pub fn from_env() -> Self {
-        let fast = std::env::var(lightnas_tensor::MODE_ENV)
-            .map(|v| v.trim().eq_ignore_ascii_case("fast"))
-            .unwrap_or(false);
-        if !fast {
+        let var = |name| std::env::var(name).ok();
+        Self::parse(
+            var(lightnas_tensor::MODE_ENV).as_deref(),
+            var(WEIGHTS_ENV).as_deref(),
+        )
+    }
+
+    /// [`Self::from_env`] as a pure function of the two variables' values
+    /// (`None` when unset).
+    pub fn parse(mode: Option<&str>, weights: Option<&str>) -> Self {
+        if KernelMode::parse(mode) == KernelMode::Strict {
             return Self::Strict;
         }
-        let f16 = std::env::var(WEIGHTS_ENV)
-            .map(|v| v.trim().eq_ignore_ascii_case("f16"))
-            .unwrap_or(false);
-        if f16 {
+        if weights.is_some_and(|v| v.trim().eq_ignore_ascii_case("f16")) {
             Self::FastF16
         } else {
             Self::Fast
@@ -69,11 +78,6 @@ impl ServingTier {
             Self::Strict => KernelMode::Strict,
             Self::Fast | Self::FastF16 => KernelMode::Fast,
         }
-    }
-
-    /// Applies the tier's kernel mode to the process.
-    pub fn activate(self) {
-        lightnas_tensor::set_kernel_mode(self.kernel_mode());
     }
 
     /// The predictor the service should deploy for this tier: the trained

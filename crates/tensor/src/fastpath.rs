@@ -1,7 +1,7 @@
 //! The fast-tier GEMM driver: FMA tiles, per-thread partial sums, per-shape
 //! tile autotuning.
 //!
-//! Reached only when [`crate::mode::fast_active`] holds (fast mode requested
+//! Reached only when [`crate::ctx::fast_active`] holds (fast mode requested
 //! *and* the SIMD dispatch is on *and* the CPU has FMA). Three liberties the
 //! strict tier forbids, all of which change low-order result bits and are
 //! therefore covered by the differential tolerance suite instead of
@@ -28,10 +28,10 @@
 //! the tolerance contract in [`crate::tolerance`] holds.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
+use crate::ctx::fast_tile_override;
 use crate::kernels::{num_threads, par_chunks, with_pool, PAR_MIN_FLOPS};
 
 /// Fast-tier GEMM micro-tile shapes (output rows × packed panel width).
@@ -77,41 +77,12 @@ const MIN_FAST_ROWS: usize = 4;
 /// preferred candidate untimed. Real workloads see a handful of shapes.
 const TUNE_CAP: usize = 1024;
 
-const OVERRIDE_NONE: u8 = 0;
-const OVERRIDE_FMA: u8 = 1;
-const OVERRIDE_AVX512: u8 = 2;
-
-/// Test hook: pins the micro-tile, bypassing autotuning, so the tolerance
-/// suite can exercise each tile deterministically.
-static TILE_OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_NONE);
-
 /// Autotune cache key: the (m, k, n) of a GEMM call.
 type GemmShape = (usize, usize, usize);
 
 /// Per-shape tile choices made by the first (timed) call.
 static TUNE: LazyLock<Mutex<HashMap<GemmShape, FastTile>>> =
     LazyLock::new(|| Mutex::new(HashMap::new()));
-
-/// Pins (or unpins) the fast-tier micro-tile for the whole process. A pinned
-/// tile the CPU lacks silently falls back to tiles it has; intended for the
-/// differential tests, not production tuning.
-pub fn set_fast_tile_override(tile: Option<FastTile>) {
-    let state = match tile {
-        None => OVERRIDE_NONE,
-        Some(FastTile::Avx2Fma4x16) => OVERRIDE_FMA,
-        Some(FastTile::Avx512f8x32) => OVERRIDE_AVX512,
-    };
-    TILE_OVERRIDE.store(state, Ordering::Relaxed);
-}
-
-/// The currently pinned micro-tile, if any.
-pub fn fast_tile_override() -> Option<FastTile> {
-    match TILE_OVERRIDE.load(Ordering::Relaxed) {
-        OVERRIDE_FMA => Some(FastTile::Avx2Fma4x16),
-        OVERRIDE_AVX512 => Some(FastTile::Avx512f8x32),
-        _ => None,
-    }
-}
 
 /// Runs `run` with the tile chosen for this shape: the pinned override if
 /// usable, the cached autotune winner, or — on the first sight of a shape
@@ -170,7 +141,7 @@ pub(crate) fn matmul_fast(
     n: usize,
     out: &mut [f32],
 ) -> bool {
-    if !crate::mode::fast_active() || m < MIN_FAST_ROWS {
+    if !crate::ctx::fast_active() || m < MIN_FAST_ROWS {
         return false;
     }
     fast_gemm(a, m, k, n, out, |width, packed| {
@@ -189,7 +160,7 @@ pub(crate) fn matmul_nt_fast(
     n: usize,
     out: &mut [f32],
 ) -> bool {
-    if !crate::mode::fast_active() || m < MIN_FAST_ROWS {
+    if !crate::ctx::fast_active() || m < MIN_FAST_ROWS {
         return false;
     }
     fast_gemm(a, m, d, n, out, |width, packed| {
@@ -210,7 +181,7 @@ pub(crate) fn matmul_tn_fast(
     n: usize,
     out: &mut [f32],
 ) -> bool {
-    if !crate::mode::fast_active() || m < MIN_FAST_ROWS {
+    if !crate::ctx::fast_active() || m < MIN_FAST_ROWS {
         return false;
     }
     let mut at = with_pool(|pool| pool.take_filled(d * m));
@@ -385,18 +356,6 @@ fn run_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn override_round_trips() {
-        let before = fast_tile_override();
-        set_fast_tile_override(Some(FastTile::Avx512f8x32));
-        assert_eq!(fast_tile_override(), Some(FastTile::Avx512f8x32));
-        set_fast_tile_override(Some(FastTile::Avx2Fma4x16));
-        assert_eq!(fast_tile_override(), Some(FastTile::Avx2Fma4x16));
-        set_fast_tile_override(None);
-        assert_eq!(fast_tile_override(), None);
-        set_fast_tile_override(before);
-    }
 
     #[test]
     fn tile_geometry() {

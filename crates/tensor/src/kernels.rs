@@ -16,48 +16,17 @@
 //! reductions, or FMA contraction — each of those changes rounding and would
 //! break the repo-wide byte-identical checkpoint invariant.
 //!
-//! The thread count is a process-wide knob ([`set_num_threads`], default 1 =
-//! serial). It is intentionally *not* part of
+//! The thread count ([`num_threads`], default 1 = serial) is a field of the
+//! current thread's [`KernelCtx`](crate::KernelCtx), intentionally *not* of
 //! [`SearchConfig`](../../lightnas/struct.SearchConfig.html) or any
 //! checkpoint format: like `DivergencePolicy`, it can never alter a result,
 //! so it does not belong to a job's identity.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::Tensor;
 
-pub use crate::simd::{set_simd_enabled, simd_enabled, SIMD_ENV};
-
-/// Process-wide kernel thread count (1 = serial). Never affects results.
-static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Environment variable read by [`init_threads_from_env`].
-pub const THREADS_ENV: &str = "LIGHTNAS_KERNEL_THREADS";
-
-/// Sets the number of threads the kernels may use (clamped to at least 1).
-///
-/// Output bits are identical for every thread count; the knob only trades
-/// wall-clock for cores. Small operations stay serial regardless.
-pub fn set_num_threads(n: usize) {
-    KERNEL_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current kernel thread count.
-pub fn num_threads() -> usize {
-    KERNEL_THREADS.load(Ordering::Relaxed)
-}
-
-/// Applies `LIGHTNAS_KERNEL_THREADS` from the environment, if set and valid.
-/// Returns the resulting thread count.
-pub fn init_threads_from_env() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            set_num_threads(n);
-        }
-    }
-    num_threads()
-}
+pub use crate::ctx::{num_threads, simd_enabled, SIMD_ENV, THREADS_ENV};
 
 /// A free-list of `f32` scratch buffers with a retained-bytes cap.
 ///
@@ -317,7 +286,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
         return;
     }
     let flops = m * k * n;
-    let use_simd = crate::simd::simd_enabled();
+    let use_simd = simd_enabled();
     if m < MR || flops < PACK_MIN_FLOPS {
         gemm_axpy(a, b, k, n, 0, use_simd, out);
         return;
@@ -386,7 +355,7 @@ pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, d: usize, n: usize, out: &
     if crate::fastpath::matmul_nt_fast(a, b, m, d, n, out) {
         return;
     }
-    let use_simd = crate::simd::simd_enabled();
+    let use_simd = simd_enabled();
     let threads = if flops < PAR_MIN_FLOPS {
         1
     } else {
@@ -437,7 +406,7 @@ pub fn matmul_tn_into(a: &[f32], b: &[f32], d: usize, m: usize, n: usize, out: &
         narrow_product(a, b, d, m, n, out);
         return;
     }
-    let use_simd = crate::simd::simd_enabled();
+    let use_simd = simd_enabled();
     if sparse_gemm(
         |sp, scratch| sp.compress_cols(scratch, a, d, m),
         b,
@@ -889,7 +858,7 @@ fn gemm_axpy(
     use_simd: bool,
     out: &mut [f32],
 ) {
-    let fast = crate::mode::fast_active();
+    let fast = crate::ctx::fast_active();
     let rows = out.len() / n;
     for r in 0..rows {
         let arow = &a[(first_row + r) * k..(first_row + r + 1) * k];
@@ -953,8 +922,8 @@ pub fn adam_update(w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], h: &A
     assert_eq!(w.len(), g.len(), "adam slices must match");
     assert_eq!(w.len(), m.len(), "adam slices must match");
     assert_eq!(w.len(), v.len(), "adam slices must match");
-    let fast_done = crate::mode::fast_active() && crate::simd::adam_rows_fma(w, g, m, v, h);
-    let done = fast_done || crate::simd::adam_rows(crate::simd::simd_enabled(), w, g, m, v, h);
+    let fast_done = crate::ctx::fast_active() && crate::simd::adam_rows_fma(w, g, m, v, h);
+    let done = fast_done || crate::simd::adam_rows(simd_enabled(), w, g, m, v, h);
     let start = if done { w.len() - w.len() % 8 } else { 0 };
     let (c1, c2) = (1.0 - h.beta1, 1.0 - h.beta2);
     for i in start..w.len() {
@@ -1009,7 +978,7 @@ pub fn matmul_ref(a: &Tensor, b: &Tensor) -> Tensor {
 pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
     assert_eq!(src.len(), m * n);
     assert_eq!(dst.len(), m * n);
-    if crate::simd::transpose(crate::simd::simd_enabled(), src, m, n, dst) {
+    if crate::simd::transpose(simd_enabled(), src, m, n, dst) {
         return;
     }
     const TB: usize = 32;
@@ -1135,14 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_knob_clamps_to_one() {
-        let before = num_threads();
-        set_num_threads(0);
-        assert_eq!(num_threads(), 1);
-        set_num_threads(before);
-    }
-
-    #[test]
     fn matmul_nt_matches_transpose_then_matmul_bits() {
         // Shapes chosen to hit the small fallback, full SIMD panels, and
         // zero-padded edge panels; the NT variant must reproduce the exact
@@ -1204,17 +1165,20 @@ mod tests {
         let a = Tensor::uniform(&[m, d], -1.0, 1.0, 23);
         let b_t = Tensor::uniform(&[n, d], -1.0, 1.0, 22); // bᵀ storage for NT
         let b = Tensor::uniform(&[d, n], -1.0, 1.0, 24);
-        let before = num_threads();
         let mut runs = Vec::new();
         for threads in [1usize, 4] {
-            set_num_threads(threads);
-            let mut tn = vec![0.0f32; m * n];
-            matmul_tn_into(a_t.as_slice(), b.as_slice(), d, m, n, &mut tn);
-            let mut nt = vec![0.0f32; m * n];
-            matmul_nt_into(a.as_slice(), b_t.as_slice(), m, d, n, &mut nt);
-            runs.push((tn, nt));
+            let ctx = crate::KernelCtx {
+                threads,
+                ..crate::KernelCtx::current()
+            };
+            runs.push(ctx.scope(|| {
+                let mut tn = vec![0.0f32; m * n];
+                matmul_tn_into(a_t.as_slice(), b.as_slice(), d, m, n, &mut tn);
+                let mut nt = vec![0.0f32; m * n];
+                matmul_nt_into(a.as_slice(), b_t.as_slice(), m, d, n, &mut nt);
+                (tn, nt)
+            }));
         }
-        set_num_threads(before);
         let (tn1, nt1) = &runs[0];
         let (tn4, nt4) = &runs[1];
         assert!(tn1.iter().zip(tn4).all(|(x, y)| x.to_bits() == y.to_bits()));

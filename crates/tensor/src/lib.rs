@@ -16,7 +16,8 @@
 //! reproducibility: matrix products go through the cache-blocked GEMM in
 //! [`kernels`] (with runtime-dispatched AVX2 micro-tiles), convolutions
 //! lower to im2col + GEMM, and large operations spread over a persistent
-//! worker pool ([`kernels::set_num_threads`], default 1) — all under the
+//! worker pool (the `threads` of the current thread's [`KernelCtx`],
+//! default 1) — all under the
 //! deterministic-reduction rule (one sequential `f32`
 //! accumulator per output element, fixed term order), so results are
 //! byte-identical to the retained naive reference kernels (`*_ref`) and
@@ -25,7 +26,8 @@
 //! bit-exact differential property tests in `tests/proptests.rs`.
 //!
 //! That bit-exact contract is the **strict** tier and the default. An
-//! opt-in **fast** tier (`LIGHTNAS_KERNEL_MODE=fast`, see [`KernelMode`])
+//! opt-in **fast** tier (`LIGHTNAS_KERNEL_MODE=fast`, or a [`KernelCtx`]
+//! scope with [`KernelMode::Fast`])
 //! trades bit-identity for throughput — FMA-contracted AVX2/AVX-512
 //! micro-kernels, per-thread partial-sum reductions, per-shape tile
 //! autotuning — and is verified against the strict oracle by the
@@ -49,9 +51,9 @@
 //! ```
 
 mod autograd;
+mod ctx;
 mod fastpath;
 mod im2col;
-mod mode;
 mod shape;
 mod simd;
 mod tensor;
@@ -63,12 +65,10 @@ pub mod kernels;
 pub mod tolerance;
 
 pub use autograd::{Graph, Var};
-pub use fastpath::{fast_tile_override, set_fast_tile_override, FastTile};
+pub use ctx::{fast_tile_override, kernel_mode, KernelCtx, KernelMode, MODE_ENV};
+pub use fastpath::FastTile;
 pub use im2col::{col2im, conv2d_backward_fast, conv2d_forward_fast, im2col};
-pub use kernels::{
-    matmul_ref, set_num_threads, set_simd_enabled, simd_enabled, PoolStats, TensorPool,
-};
-pub use mode::{init_mode_from_env, kernel_mode, set_kernel_mode, KernelMode, MODE_ENV};
+pub use kernels::{matmul_ref, simd_enabled, PoolStats, TensorPool};
 pub use shape::Shape;
 pub use tensor::{
     conv2d_backward, conv2d_backward_ref, conv2d_forward, conv2d_forward_ref, dwconv2d_backward,

@@ -10,7 +10,7 @@
 //! plain mul/add): contracting the two roundings into one would change bits
 //! and break the strict determinism contract.
 //!
-//! **Fast tier** ([`crate::mode`]). The `*_fma` kernels and the AVX-512
+//! **Fast tier** ([`crate::ctx`]). The `*_fma` kernels and the AVX-512
 //! 8×32 tile *do* contract with `vfmadd`, which changes low-order bits —
 //! they are reachable only through [`crate::fastpath`] when
 //! `LIGHTNAS_KERNEL_MODE=fast`, and are verified against the strict oracle
@@ -19,69 +19,22 @@
 //! Because the compile baseline is SSE2 (no `-C target-cpu` anywhere in the
 //! workspace), AVX2/FMA/AVX-512F/F16C availability is detected at runtime
 //! and cached in atomics; the portable scalar kernels in [`crate::kernels`]
-//! remain the fallback and the oracle. `LIGHTNAS_KERNEL_SIMD=off` (or `0` /
-//! `portable`) forces the fallback — in *both* modes — and
-//! [`set_simd_enabled`] flips the path in-process so the byte-identity suite
-//! can diff the two implementations directly.
+//! remain the fallback and the oracle. The current thread's
+//! [`KernelCtx`](crate::KernelCtx) decides the dispatch: `simd: false`
+//! (seeded by `LIGHTNAS_KERNEL_SIMD=off`, `0` or `portable`) forces the
+//! fallback — in *both* modes — so the byte-identity suite can diff the two
+//! implementations directly inside a scope.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Environment variable: set to `0`, `off` or `portable` to force the
-/// portable scalar kernels even when AVX2 is available.
-pub const SIMD_ENV: &str = "LIGHTNAS_KERNEL_SIMD";
 
 const UNKNOWN: u8 = 0;
 const ENABLED: u8 = 1;
 const DISABLED: u8 = 2;
 
-/// Cached dispatch decision; `UNKNOWN` until the first kernel call.
-static SIMD_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
-
-fn detect() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn env_forces_portable() -> bool {
-    std::env::var(SIMD_ENV).is_ok_and(|v| {
-        matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "portable"
-        )
-    })
-}
-
-/// Whether the SIMD micro-kernels are active. The first call resolves the
-/// env knob and CPU feature detection; later calls are one relaxed load.
-pub fn simd_enabled() -> bool {
-    match SIMD_STATE.load(Ordering::Relaxed) {
-        ENABLED => true,
-        DISABLED => false,
-        _ => {
-            let on = !env_forces_portable() && detect();
-            SIMD_STATE.store(if on { ENABLED } else { DISABLED }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Forces the SIMD kernels on or off. `true` is a no-op on CPUs without
-/// AVX2. Either setting computes identical bits — the knob exists so tests
-/// and benchmarks can compare the two paths, not to change results.
-pub fn set_simd_enabled(on: bool) {
-    let state = if on && detect() { ENABLED } else { DISABLED };
-    SIMD_STATE.store(state, Ordering::Relaxed);
-}
-
-/// Cached CPU-feature probes for the fast tier. Unlike [`simd_enabled`]
-/// these are pure hardware facts — no env knob — so they never need a
-/// setter; `LIGHTNAS_KERNEL_SIMD=off` gates the *dispatch*, not these.
+/// Cached CPU-feature probes. These are hardware facts, not settings:
+/// `LIGHTNAS_KERNEL_SIMD=off` (the ctx's `simd` flag) gates the
+/// *dispatch*, not these.
+static AVX2_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static FMA_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static AVX512_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
 static F16C_STATE: AtomicU8 = AtomicU8::new(UNKNOWN);
@@ -96,6 +49,21 @@ fn cached_probe(state: &AtomicU8, probe: fn() -> bool) -> bool {
             on
         }
     }
+}
+
+/// Whether the CPU can run the AVX2 strict micro-kernels. A ctx asking
+/// for SIMD on a CPU without AVX2 runs the portable kernels.
+pub(crate) fn avx2_available() -> bool {
+    cached_probe(&AVX2_STATE, || {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
 }
 
 /// Whether the CPU can run the AVX2+FMA fast kernels. Hardware floor for
@@ -166,8 +134,9 @@ pub(crate) fn tile_4x16(
         debug_assert!(panel.len() >= k * 16, "panel must hold k rows of 16");
         debug_assert!(a.len() >= a_base + 4 * k, "lhs rows out of bounds");
         debug_assert!(out.len() >= (r + 3) * n + j0 + 16, "output tile oob");
-        // SAFETY: AVX2 availability is established by `use_simd` (set only
-        // after `detect()`), and the bounds above cover every access.
+        // SAFETY: AVX2 availability is established by `use_simd` (a ctx
+        // keeps `simd` only where `avx2_available()`), and the bounds above
+        // cover every access.
         unsafe { avx2::micro_tile_4x16(a, a_base, k, panel, out, r, n, j0) };
         return true;
     }
@@ -874,34 +843,5 @@ mod avx2 {
             *op.add(j) += av * *bp.add(j);
             j += 1;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_spelling_variants_force_portable() {
-        for v in ["0", "off", "OFF", " portable "] {
-            assert!(
-                matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "off" | "portable"
-                ),
-                "{v:?} should force the portable path"
-            );
-        }
-    }
-
-    #[test]
-    fn forcing_simd_respects_hardware() {
-        let before = simd_enabled();
-        set_simd_enabled(true);
-        // `true` only sticks when the CPU actually has AVX2.
-        assert_eq!(simd_enabled(), detect());
-        set_simd_enabled(false);
-        assert!(!simd_enabled());
-        set_simd_enabled(before);
     }
 }

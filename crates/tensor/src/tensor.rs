@@ -612,8 +612,8 @@ pub(crate) fn dwconv2d_forward_into(
     } else {
         crate::kernels::num_threads()
     };
-    let use_simd = spec.stride == 1 && crate::simd::simd_enabled();
-    let fast = crate::mode::fast_active();
+    let use_simd = spec.stride == 1 && crate::ctx::simd_enabled();
+    let fast = crate::ctx::fast_active();
     // One chunk per (batch, channel) output plane.
     crate::kernels::par_chunks(out, ho * wo, threads, |plane, o| {
         let (b, ch) = (plane / c, plane % c);
@@ -738,8 +738,8 @@ pub(crate) fn dwconv2d_backward_into(
     } else {
         crate::kernels::num_threads()
     };
-    let use_simd = spec.stride == 1 && crate::simd::simd_enabled();
-    let fast = crate::mode::fast_active();
+    let use_simd = spec.stride == 1 && crate::ctx::simd_enabled();
+    let fast = crate::ctx::fast_active();
     if let Some(gx) = gx {
         crate::kernels::par_chunks(gx, h * w, threads, |plane, gxp| {
             let (b, ch) = (plane / c, plane % c);

@@ -2,7 +2,7 @@
 //! tier.
 //!
 //! Strict mode is verified by bit-identity (fingerprints, 0-ULP differential
-//! proptests). Fast mode ([`crate::mode`]) deliberately changes rounding —
+//! proptests). Fast mode ([`crate::ctx`]) deliberately changes rounding —
 //! FMA contraction, per-thread partial sums, f16 weight storage — so its
 //! contract is a *bound*, not equality. This module is that bound's single
 //! home: the comparators, and the derivation of per-op tolerances from

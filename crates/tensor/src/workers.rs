@@ -22,6 +22,10 @@
 //!   chunk closure itself calling back into the kernels), the submitter runs
 //!   every group inline on its own thread. That changes only the parallelism
 //!   degree, never the bytes, and makes nested submission deadlock-free.
+//! * **Ctx-inheriting** — a job carries its submitter's [`KernelCtx`], and
+//!   every participant runs its group under it, so a worker computes with
+//!   the mode, SIMD dispatch and tile pin of the thread that submitted the
+//!   work, never with its own.
 //!
 //! A panic inside a worker group is caught, the job is drained, and the
 //! panic is re-raised on the submitting thread; a panic in the submitter's
@@ -30,8 +34,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
 
+use crate::KernelCtx;
+
 /// One submitted chunk-parallel job. Groups address disjoint element ranges
-/// of `data`, so participants never alias; the raw context pointer plus the
+/// of `data`, so participants never alias; the raw closure pointer plus the
 /// monomorphized `run` trampoline erase the closure type without a per-call
 /// allocation.
 #[derive(Clone, Copy)]
@@ -42,13 +48,16 @@ struct Job {
     per_group: usize,
     n_chunks: usize,
     groups: usize,
-    ctx: *const (),
+    closure: *const (),
     run: unsafe fn(*const (), &Job, usize),
+    /// The submitter's kernel ctx; workers run their group under it.
+    kernel_ctx: KernelCtx,
 }
 
 // SAFETY: the submitting thread blocks until every worker group has finished
-// (so `data` and `ctx` outlive the job), the closure behind `ctx` is `Sync`,
-// and each group index maps to a disjoint slice of `data`.
+// (so `data` and `closure` outlive the job), the closure behind `closure` is
+// `Sync`, each group index maps to a disjoint slice of `data`, and
+// `kernel_ctx` is plain `Copy` data.
 unsafe impl Send for Job {}
 
 struct State {
@@ -91,10 +100,10 @@ fn pool() -> &'static Pool {
 ///
 /// # Safety
 ///
-/// `ctx` must point to a live `F` and `gi` must be a group index no other
-/// thread is running, so the derived slices are disjoint.
-unsafe fn run_group<F: Fn(usize, &mut [f32]) + Sync>(ctx: *const (), job: &Job, gi: usize) {
-    let f = &*ctx.cast::<F>();
+/// `closure` must point to a live `F` and `gi` must be a group index no
+/// other thread is running, so the derived slices are disjoint.
+unsafe fn run_group<F: Fn(usize, &mut [f32]) + Sync>(closure: *const (), job: &Job, gi: usize) {
+    let f = &*closure.cast::<F>();
     let first = gi * job.per_group;
     let last = (first + job.per_group).min(job.n_chunks);
     for ci in first..last {
@@ -123,9 +132,11 @@ fn worker_loop(index: usize) {
                 st = p.work.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let res = catch_unwind(AssertUnwindSafe(|| unsafe {
-            (job.run)(job.ctx, &job, index + 1);
-        }));
+        let res = job.kernel_ctx.scope(|| {
+            catch_unwind(AssertUnwindSafe(|| unsafe {
+                (job.run)(job.closure, &job, index + 1);
+            }))
+        });
         let mut st = p.state.lock().unwrap_or_else(|e| e.into_inner());
         if res.is_err() {
             st.panicked = true;
@@ -178,8 +189,9 @@ pub(crate) fn run_chunked<F: Fn(usize, &mut [f32]) + Sync>(
         per_group,
         n_chunks: out.len().div_ceil(chunk_len),
         groups,
-        ctx: (f as *const F).cast(),
+        closure: (f as *const F).cast(),
         run: run_group::<F>,
+        kernel_ctx: KernelCtx::current(),
     };
     let p = pool();
     {
@@ -193,7 +205,7 @@ pub(crate) fn run_chunked<F: Fn(usize, &mut [f32]) + Sync>(
             for gi in 0..groups {
                 // SAFETY: all groups run sequentially on this one thread;
                 // `f` and `out` are live for the whole loop.
-                unsafe { run_group::<F>(job.ctx, &job, gi) };
+                unsafe { run_group::<F>(job.closure, &job, gi) };
             }
             return;
         }
@@ -213,7 +225,7 @@ pub(crate) fn run_chunked<F: Fn(usize, &mut [f32]) + Sync>(
     let guard = DrainGuard(p);
     // SAFETY: group 0 is reserved for the submitting thread; workers only
     // take groups >= 1.
-    unsafe { run_group::<F>(job.ctx, &job, 0) };
+    unsafe { run_group::<F>(job.closure, &job, 0) };
     std::mem::forget(guard);
     if drain(p) {
         panic!("a kernel worker thread panicked");

@@ -10,25 +10,29 @@
 //! 2. **Thread-count invariance** — the same operations at 1, 2 and 4
 //!    threads must agree to the bit.
 //!
-//! Several tests flip the process-wide kernel knobs (thread count, SIMD
-//! dispatch, kernel mode), and a fingerprint computed while a sibling has
-//! the fast tier switched on would not match. So every test that computes
-//! or checks bits holds [`knobs`] for its whole body.
-
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+//! Tests that vary the thread count, SIMD dispatch or kernel mode do so in
+//! a [`KernelCtx::scope`] on their own test thread, so siblings running in
+//! parallel keep computing under the default ctx.
 
 use lightnas_tensor::{
-    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, kernels, Conv2dSpec,
-    Tensor,
+    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, fast_tile_override,
+    kernels, Conv2dSpec, FastTile, KernelCtx, KernelMode, Tensor,
 };
 
-/// Serializes the tests that read or flip the process-wide kernel knobs.
-/// A test that panics while holding it does not poison the others.
-fn knobs() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+/// The current ctx with `threads` kernel threads.
+fn with_threads(threads: usize) -> KernelCtx {
+    KernelCtx {
+        threads,
+        ..KernelCtx::current()
+    }
+}
+
+/// The current ctx with the SIMD dispatch on or off.
+fn with_simd(simd: bool) -> KernelCtx {
+    KernelCtx {
+        simd,
+        ..KernelCtx::current()
+    }
 }
 
 fn fnv(data: &[f32]) -> u64 {
@@ -58,7 +62,6 @@ fn conv_operands() -> (Tensor, Tensor) {
 
 #[test]
 fn matmul_reproduces_pre_rewrite_bits() {
-    let _guard = knobs();
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
     let b = Tensor::uniform(&[53, 29], -1.0, 1.0, 102);
     assert_eq!(fnv(a.matmul(&b).as_slice()), 0xc0cf_2e2b_448b_1ec1);
@@ -69,7 +72,6 @@ fn matmul_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_forward_reproduces_pre_rewrite_bits() {
-    let _guard = knobs();
     let (x, w) = conv_operands();
     // The naive reference and the im2col path produced identical bits even
     // before the rewrite; both entry points must still land on them.
@@ -85,7 +87,6 @@ fn conv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn dwconv_forward_reproduces_pre_rewrite_bits() {
-    let _guard = knobs();
     let (x, _) = conv_operands();
     let dw = Tensor::uniform(&[8, 1, 3, 3], -0.5, 0.5, 107);
     assert_eq!(
@@ -96,7 +97,6 @@ fn dwconv_forward_reproduces_pre_rewrite_bits() {
 
 #[test]
 fn conv_backward_reproduces_pre_rewrite_bits() {
-    let _guard = knobs();
     let (x, w) = conv_operands();
     let g = Tensor::uniform(&[2, 16, 14, 14], -1.0, 1.0, 108);
     let (gx, gw) = conv2d_backward(&x, &w, spec311(), &g);
@@ -107,14 +107,10 @@ fn conv_backward_reproduces_pre_rewrite_bits() {
 /// Runs `f` at 1, 2 and 4 kernel threads and asserts all three outputs hash
 /// identically; returns the hash.
 fn hash_across_thread_counts(f: impl Fn() -> u64) -> u64 {
-    let _guard = knobs();
-    let before = kernels::num_threads();
     let mut hashes = Vec::new();
     for t in [1usize, 2, 4] {
-        kernels::set_num_threads(t);
-        hashes.push((t, f()));
+        hashes.push((t, with_threads(t).scope(&f)));
     }
-    kernels::set_num_threads(before);
     let serial = hashes[0].1;
     for (t, h) in &hashes {
         assert_eq!(
@@ -192,8 +188,6 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
     // Resizing the persistent worker pool (4 → 1 → 4) tears workers down and
     // respawns them; every configuration must produce the same bytes, and
     // returning to a previous size must too (the pool holds no stale state).
-    let _guard = knobs();
-    let before = kernels::num_threads();
     let x = Tensor::uniform(&[4, 16, 28, 28], -1.0, 1.0, 301);
     let w = Tensor::uniform(&[32, 16, 3, 3], -0.5, 0.5, 302);
     let g = Tensor::uniform(&[4, 32, 28, 28], -1.0, 1.0, 303);
@@ -204,10 +198,8 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
     };
     let mut hashes = Vec::new();
     for t in [4usize, 1, 4, 2, 4] {
-        kernels::set_num_threads(t);
-        hashes.push((t, run()));
+        hashes.push((t, with_threads(t).scope(run)));
     }
-    kernels::set_num_threads(before);
     for (t, h) in &hashes {
         assert_eq!(
             *h, hashes[0].1,
@@ -220,9 +212,6 @@ fn thread_knob_cycle_preserves_bits_through_pool_resizes() {
 fn reused_graph_matches_fresh_graph_over_many_steps() {
     // 100 training steps on one reset-reused tape must produce exactly the
     // bytes of 100 steps on fresh tapes: pooled buffers carry no history.
-    // Holds the knob lock: a sibling flipping the kernel mode between the
-    // reused and the fresh pass would change the bits of one of them.
-    let _guard = knobs();
     use lightnas_tensor::Graph;
     let spec = spec311();
     let steps = 100;
@@ -267,7 +256,6 @@ fn simd_microkernel_matches_portable_path_bitwise() {
     // The AVX2 micro-tile keeps the scalar accumulation order, so forcing
     // the portable path must not change a single bit. On machines without
     // AVX2 both runs take the portable path and the test is vacuous.
-    let _guard = knobs();
     let a = Tensor::uniform(&[96, 128], -1.0, 1.0, 501);
     let b = Tensor::uniform(&[128, 80], -1.0, 1.0, 502);
     let x = Tensor::uniform(&[2, 8, 14, 14], -1.0, 1.0, 503);
@@ -276,34 +264,81 @@ fn simd_microkernel_matches_portable_path_bitwise() {
         fnv(a.matmul(&b).as_slice())
             ^ fnv(conv2d_forward(&x, &w, spec311()).as_slice()).rotate_left(1)
     };
-    let before = lightnas_tensor::simd_enabled();
-    lightnas_tensor::set_simd_enabled(true);
-    let with_simd = run();
-    lightnas_tensor::set_simd_enabled(false);
-    let portable = run();
-    lightnas_tensor::set_simd_enabled(before);
+    let simd = with_simd(true).scope(run);
+    let portable = with_simd(false).scope(run);
     assert_eq!(
-        with_simd, portable,
+        simd, portable,
         "SIMD micro-kernel diverged from the portable path"
     );
 }
 
 #[test]
 fn env_knob_parses_and_applies() {
-    let _guard = knobs();
-    let before = kernels::num_threads();
-    std::env::set_var(kernels::THREADS_ENV, "3");
-    assert_eq!(kernels::init_threads_from_env(), 3);
-    assert_eq!(kernels::num_threads(), 3);
-    std::env::set_var(kernels::THREADS_ENV, "not-a-number");
-    assert_eq!(kernels::init_threads_from_env(), 3, "junk must be ignored");
-    std::env::remove_var(kernels::THREADS_ENV);
-    kernels::set_num_threads(before);
+    let threads = |v| KernelCtx::parse(None, v, None).threads;
+    assert_eq!(threads(Some("3")), 3);
+    KernelCtx::parse(None, Some("3"), None).scope(|| assert_eq!(kernels::num_threads(), 3));
+    assert_eq!(threads(Some("not-a-number")), 1, "junk must be ignored");
+    assert_eq!(threads(Some("0")), 1, "zero clamps to serial");
+    assert_eq!(threads(None), 1);
+    for v in ["0", "off", "OFF", " portable "] {
+        assert!(!KernelCtx::parse(None, None, Some(v)).simd, "{v:?}");
+    }
+    for v in [Some("1"), Some("on"), Some(""), None] {
+        assert!(KernelCtx::parse(None, None, v).simd, "{v:?}");
+    }
+}
+
+#[test]
+fn scope_clamps_threads_and_keeps_simd_only_with_avx2() {
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    with_threads(0).scope(|| assert_eq!(kernels::num_threads(), 1));
+    with_simd(true).scope(|| assert_eq!(kernels::simd_enabled(), avx2));
+    with_simd(false).scope(|| assert!(!kernels::simd_enabled()));
+}
+
+#[test]
+fn scope_restores_the_outer_ctx_even_when_a_nested_scope_panics() {
+    with_threads(3).scope(|| {
+        let outer = KernelCtx::current();
+        let fast = KernelCtx {
+            mode: KernelMode::Fast,
+            threads: 4,
+            tile: Some(FastTile::Avx2Fma4x16),
+            ..outer
+        };
+        fast.scope(|| {
+            assert_eq!(lightnas_tensor::kernel_mode(), KernelMode::Fast);
+            assert_eq!(fast_tile_override(), Some(FastTile::Avx2Fma4x16));
+        });
+        assert_eq!(KernelCtx::current(), outer);
+        let res = std::panic::catch_unwind(|| fast.scope(|| panic!("boom")));
+        assert!(res.is_err());
+        assert_eq!(KernelCtx::current(), outer);
+    });
+}
+
+#[test]
+fn par_chunks_runs_every_chunk_under_the_submitters_ctx() {
+    let fast = KernelCtx {
+        mode: KernelMode::Fast,
+        threads: 4,
+        ..KernelCtx::current()
+    };
+    let mut out = vec![0.0f32; 64];
+    fast.scope(|| {
+        kernels::par_chunks(&mut out, 8, kernels::num_threads(), |_, chunk| {
+            let is_fast = lightnas_tensor::kernel_mode() == KernelMode::Fast;
+            chunk.fill(if is_fast { 1.0 } else { -1.0 });
+        });
+    });
+    assert!(out.iter().all(|&v| v == 1.0), "{out:?}");
 }
 
 #[test]
 fn default_kernel_mode_is_strict() {
-    let _guard = knobs();
     // The two-tier contract: fast mode is *opt-in*. A process that never
     // touches the mode knob (this test binary doesn't) must run strict and
     // keep reproducing the pre-rewrite fingerprints above — that is the
@@ -317,21 +352,20 @@ fn default_kernel_mode_is_strict() {
 
 #[test]
 fn mode_env_knob_parses_and_applies() {
-    let _guard = knobs();
-    use lightnas_tensor::{init_mode_from_env, kernel_mode, set_kernel_mode, KernelMode, MODE_ENV};
-    let before = kernel_mode();
-    std::env::set_var(MODE_ENV, "fast");
-    assert_eq!(init_mode_from_env(), KernelMode::Fast);
-    std::env::set_var(MODE_ENV, "strict");
-    assert_eq!(init_mode_from_env(), KernelMode::Strict);
-    std::env::set_var(MODE_ENV, "not-a-mode");
-    assert_eq!(
-        init_mode_from_env(),
-        KernelMode::Strict,
-        "junk must be ignored"
-    );
-    std::env::remove_var(MODE_ENV);
-    set_kernel_mode(before);
+    let mode = |v| KernelCtx::parse(v, None, None).mode;
+    for v in ["fast", "FAST", " Fast "] {
+        assert_eq!(mode(Some(v)), KernelMode::Fast, "{v:?}");
+    }
+    KernelCtx::parse(Some("fast"), None, None)
+        .scope(|| assert_eq!(lightnas_tensor::kernel_mode(), KernelMode::Fast));
+    for v in ["strict", "", "1", "on", "faster", "not-a-mode"] {
+        assert_eq!(
+            mode(Some(v)),
+            KernelMode::Strict,
+            "junk must be ignored: {v:?}"
+        );
+    }
+    assert_eq!(mode(None), KernelMode::Strict);
 }
 
 #[test]
@@ -339,15 +373,15 @@ fn strict_bits_survive_a_fast_mode_excursion() {
     // Flipping to fast and back must leave no residue in the strict tier:
     // same fingerprint before, during-strict, and after. (The fast tile
     // autotune cache is fast-tier-only state and must not leak.)
-    let _guard = knobs();
-    use lightnas_tensor::{set_kernel_mode, KernelMode};
     let a = Tensor::uniform(&[37, 53], -1.0, 1.0, 101);
     let b = Tensor::uniform(&[53, 29], -1.0, 1.0, 102);
     let strict_before = fnv(a.matmul(&b).as_slice());
     assert_eq!(strict_before, 0xc0cf_2e2b_448b_1ec1);
-    set_kernel_mode(KernelMode::Fast);
-    let _ = a.matmul(&b); // populate fast-tier state
-    set_kernel_mode(KernelMode::Strict);
+    let fast = KernelCtx {
+        mode: KernelMode::Fast,
+        ..KernelCtx::current()
+    };
+    fast.scope(|| a.matmul(&b)); // populate fast-tier state
     assert_eq!(
         fnv(a.matmul(&b).as_slice()),
         strict_before,

@@ -10,57 +10,36 @@
 //! computed *exactly* by running the strict kernel on absolute-valued
 //! operands. With SIMD forced off, fast mode must degrade to bit-identity.
 //!
-//! Tests here flip process-wide knobs (mode, threads, SIMD, tile pin), so
-//! every test holds one mutex and restores strict defaults on drop — panics
-//! included.
-
-use std::sync::Mutex;
+//! Strict oracles run under [`STRICT`] and fast candidates under
+//! [`fast`], each in a [`KernelCtx::scope`] on the test's own thread, so
+//! the suite needs no serialization and ignores the kernel env variables.
 
 use proptest::prelude::*;
 
 use lightnas_tensor::kernels::{self, AdamUpdate};
 use lightnas_tensor::tolerance::ReductionBound;
 use lightnas_tensor::{
-    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, set_fast_tile_override,
-    set_kernel_mode, set_num_threads, set_simd_enabled, Conv2dSpec, FastTile, KernelMode, Tensor,
+    conv2d_backward, conv2d_forward, dwconv2d_backward, dwconv2d_forward, Conv2dSpec, FastTile,
+    KernelCtx, KernelMode, Tensor,
 };
 
-static KNOB: Mutex<()> = Mutex::new(());
+/// The strict oracle's ctx: serial, SIMD on, no tile pin.
+const STRICT: KernelCtx = KernelCtx {
+    mode: KernelMode::Strict,
+    threads: 1,
+    simd: true,
+    tile: None,
+};
 
-/// Holds the knob mutex and guarantees strict defaults before and after a
-/// test body, no matter how it exits.
-struct KnobLab<'a> {
-    _guard: std::sync::MutexGuard<'a, ()>,
-}
-
-impl KnobLab<'_> {
-    fn new() -> Self {
-        let guard = KNOB.lock().unwrap_or_else(|e| e.into_inner());
-        restore_defaults();
-        Self { _guard: guard }
+/// The fast tier with a thread count and tile pin (a pin the CPU lacks
+/// falls back, so AVX2 machines still cover the 4×16).
+fn fast(threads: usize, tile: Option<FastTile>) -> KernelCtx {
+    KernelCtx {
+        mode: KernelMode::Fast,
+        threads,
+        tile,
+        ..STRICT
     }
-}
-
-impl Drop for KnobLab<'_> {
-    fn drop(&mut self) {
-        restore_defaults();
-    }
-}
-
-fn restore_defaults() {
-    set_kernel_mode(KernelMode::Strict);
-    set_num_threads(1);
-    set_simd_enabled(true);
-    set_fast_tile_override(None);
-}
-
-/// Enters the fast tier with the given thread count and tile pin (a pin the
-/// CPU lacks silently falls back — both pins are exercised regardless so
-/// AVX-512 machines cover both tiles and AVX2 machines cover the 4×16).
-fn enter_fast(threads: usize, tile: Option<FastTile>) {
-    set_kernel_mode(KernelMode::Fast);
-    set_num_threads(threads);
-    set_fast_tile_override(tile);
 }
 
 fn abs_all(v: &[f32]) -> Vec<f32> {
@@ -95,14 +74,14 @@ fn matmul_triple(
     threads: usize,
     tile: Option<FastTile>,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let mut strict = vec![0.0f32; out_len];
-    run(a, b, &mut strict);
-    let mut scale = vec![0.0f32; out_len];
-    run(&abs_all(a), &abs_all(b), &mut scale);
-    enter_fast(threads, tile);
-    let mut fast = vec![0.0f32; out_len];
-    run(a, b, &mut fast);
-    restore_defaults();
+    let product = |a: &[f32], b: &[f32]| {
+        let mut out = vec![0.0f32; out_len];
+        run(a, b, &mut out);
+        out
+    };
+    let strict = STRICT.scope(|| product(a, b));
+    let scale = STRICT.scope(|| product(&abs_all(a), &abs_all(b)));
+    let fast = fast(threads, tile).scope(|| product(a, b));
     (strict, fast, scale)
 }
 
@@ -114,7 +93,6 @@ proptest! {
         m in 4usize..32, k in 1usize..64, n in 1usize..40,
         ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
     ) {
-        let _lab = KnobLab::new();
         let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
         let a = Tensor::uniform(&[m, k], -2.0, 2.0, seed);
         let b = Tensor::uniform(&[k, n], -2.0, 2.0, seed + 1);
@@ -132,7 +110,6 @@ proptest! {
         m in 4usize..32, d in 1usize..64, n in 1usize..40,
         ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
     ) {
-        let _lab = KnobLab::new();
         let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
         let a = Tensor::uniform(&[m, d], -2.0, 2.0, seed);
         let bt = Tensor::uniform(&[n, d], -2.0, 2.0, seed + 1);
@@ -150,7 +127,6 @@ proptest! {
         m in 4usize..32, d in 1usize..64, n in 1usize..40,
         ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
     ) {
-        let _lab = KnobLab::new();
         let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
         let at = Tensor::uniform(&[d, m], -2.0, 2.0, seed);
         let b = Tensor::uniform(&[d, n], -2.0, 2.0, seed + 1);
@@ -172,7 +148,6 @@ proptest! {
         n in 1usize..3, cin in 1usize..4, cout in 1usize..5, hw in 5usize..9,
         ti in 0usize..3, pi in 0usize..3, seed in 0u64..100_000,
     ) {
-        let _lab = KnobLab::new();
         let (threads, tile) = (threads_from_index(ti), tile_from_index(pi));
         let spec = Conv2dSpec { kernel: 3, stride: 1, padding: 1 };
         let ho = spec.out_size(hw);
@@ -181,15 +156,13 @@ proptest! {
         let tg = Tensor::uniform(&[n, cout, ho, ho], -2.0, 2.0, seed + 2);
         let (ax, aw, ag) = (abs_tensor(&tx), abs_tensor(&tw), abs_tensor(&tg));
 
-        let strict_y = conv2d_forward(&tx, &tw, spec);
-        let (strict_gx, strict_gw) = conv2d_backward(&tx, &tw, spec, &tg);
-        let scale_y = conv2d_forward(&ax, &aw, spec);
-        let (scale_gx, scale_gw) = conv2d_backward(&ax, &aw, spec, &ag);
-
-        enter_fast(threads, tile);
-        let fast_y = conv2d_forward(&tx, &tw, spec);
-        let (fast_gx, fast_gw) = conv2d_backward(&tx, &tw, spec, &tg);
-        restore_defaults();
+        let run = |x: &Tensor, w: &Tensor, g: &Tensor| {
+            let (gx, gw) = conv2d_backward(x, w, spec, g);
+            (conv2d_forward(x, w, spec), gx, gw)
+        };
+        let (strict_y, strict_gx, strict_gw) = STRICT.scope(|| run(&tx, &tw, &tg));
+        let (scale_y, scale_gx, scale_gw) = STRICT.scope(|| run(&ax, &aw, &ag));
+        let (fast_y, fast_gx, fast_gw) = fast(threads, tile).scope(|| run(&tx, &tw, &tg));
 
         // Reduction depths: forward cin·kh·kw; grad-input cout·kh·kw;
         // grad-weight n·ho·wo (the whole batch of output positions).
@@ -213,7 +186,6 @@ proptest! {
         n in 1usize..3, c in 1usize..6, hw in 5usize..10,
         ti in 0usize..3, seed in 0u64..1000,
     ) {
-        let _lab = KnobLab::new();
         let threads = threads_from_index(ti);
         let spec = Conv2dSpec { kernel: 3, stride: 1, padding: 1 };
         let ho = spec.out_size(hw);
@@ -222,15 +194,13 @@ proptest! {
         let tg = Tensor::uniform(&[n, c, ho, ho], -2.0, 2.0, seed + 13);
         let (ax, aw, ag) = (abs_tensor(&tx), abs_tensor(&tw), abs_tensor(&tg));
 
-        let strict_y = dwconv2d_forward(&tx, &tw, spec);
-        let (strict_gx, strict_gw) = dwconv2d_backward(&tx, &tw, spec, &tg);
-        let scale_y = dwconv2d_forward(&ax, &aw, spec);
-        let (scale_gx, scale_gw) = dwconv2d_backward(&ax, &aw, spec, &ag);
-
-        enter_fast(threads, None);
-        let fast_y = dwconv2d_forward(&tx, &tw, spec);
-        let (fast_gx, fast_gw) = dwconv2d_backward(&tx, &tw, spec, &tg);
-        restore_defaults();
+        let run = |x: &Tensor, w: &Tensor, g: &Tensor| {
+            let (gx, gw) = dwconv2d_backward(x, w, spec, g);
+            (dwconv2d_forward(x, w, spec), gx, gw)
+        };
+        let (strict_y, strict_gx, strict_gw) = STRICT.scope(|| run(&tx, &tw, &tg));
+        let (scale_y, scale_gx, scale_gw) = STRICT.scope(|| run(&ax, &aw, &ag));
+        let (fast_y, fast_gx, fast_gw) = fast(threads, None).scope(|| run(&tx, &tw, &tg));
 
         let checks = [
             ("forward", ReductionBound::dwconv(3, 3), &fast_y, &strict_y, &scale_y),
@@ -250,7 +220,6 @@ proptest! {
         seed in 0u64..1000,
         wdi in 0usize..2,
     ) {
-        let _lab = KnobLab::new();
         let wd = [0.0f32, 0.01][wdi];
         let mk = |s| Tensor::uniform(&[len], -1.0, 1.0, s).as_slice().to_vec();
         let (w0, g) = (mk(seed), mk(seed + 1));
@@ -266,12 +235,10 @@ proptest! {
             s2: 1.0 / (1.0 - 0.999f32.powi(5)),
         };
         let (mut ws, mut ms, mut vs) = (w0.clone(), m0.clone(), v0.clone());
-        kernels::adam_update(&mut ws, &g, &mut ms, &mut vs, &h);
+        STRICT.scope(|| kernels::adam_update(&mut ws, &g, &mut ms, &mut vs, &h));
 
-        enter_fast(1, None);
         let (mut wf, mut mf, mut vf) = (w0.clone(), m0, v0);
-        kernels::adam_update(&mut wf, &g, &mut mf, &mut vf, &h);
-        restore_defaults();
+        fast(1, None).scope(|| kernels::adam_update(&mut wf, &g, &mut mf, &mut vf, &h));
 
         // Scale: the parameter magnitude plus the biggest step Adam can
         // take (|m̂|/(√v̂+ε) ≈ 1 in steady state, so ≈ lr).
@@ -287,7 +254,6 @@ proptest! {
 /// parallel threshold — pin that shape explicitly for both tiles.
 #[test]
 fn ksplit_partial_sums_within_bound() {
-    let _lab = KnobLab::new();
     let (m, k, n) = (6usize, 8192usize, 48usize);
     assert!(
         m * k * n >= 1 << 21,
@@ -314,7 +280,6 @@ fn ksplit_partial_sums_within_bound() {
 /// tiles, above the parallel threshold.
 #[test]
 fn row_partitioned_threads_within_bound() {
-    let _lab = KnobLab::new();
     let (m, k, n) = (256usize, 256usize, 64usize);
     assert!(m * k * n >= 1 << 21);
     let a = Tensor::uniform(&[m, k], -1.0, 1.0, 44);
@@ -338,16 +303,24 @@ fn row_partitioned_threads_within_bound() {
 /// take: it must degrade to the strict kernels, bit for bit.
 #[test]
 fn fast_mode_with_simd_off_is_bit_identical_to_strict() {
-    let _lab = KnobLab::new();
     let (m, k, n) = (32usize, 48usize, 24usize);
     let a = Tensor::uniform(&[m, k], -1.0, 1.0, 7);
     let b = Tensor::uniform(&[k, n], -1.0, 1.0, 8);
-    set_simd_enabled(false);
-    let mut strict = vec![0.0f32; m * n];
-    kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, n, &mut strict);
-    set_kernel_mode(KernelMode::Fast);
-    let mut fast = vec![0.0f32; m * n];
-    kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, n, &mut fast);
+    let product = || {
+        let mut out = vec![0.0f32; m * n];
+        kernels::matmul_into(a.as_slice(), b.as_slice(), m, k, n, &mut out);
+        out
+    };
+    let portable = KernelCtx {
+        simd: false,
+        ..STRICT
+    };
+    let strict = portable.scope(product);
+    let fast = KernelCtx {
+        mode: KernelMode::Fast,
+        ..portable
+    }
+    .scope(product);
     for (i, (s, f)) in strict.iter().zip(&fast).enumerate() {
         assert_eq!(
             s.to_bits(),

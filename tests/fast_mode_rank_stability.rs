@@ -15,24 +15,27 @@ mod common;
 use common::stack;
 use lightnas_repro::prelude::*;
 use lightnas_repro::search::sweep::{lambda_sweep, SweepPoint};
-use lightnas_repro::tensor::{set_kernel_mode, KernelMode};
+use lightnas_repro::tensor::{KernelCtx, KernelMode};
 
 const LAMBDAS: [f64; 3] = [0.0005, 0.05, 1.0];
 
 fn run_sweep_under(mode: KernelMode) -> Vec<SweepPoint> {
     let s = stack();
-    set_kernel_mode(mode);
-    let points = lambda_sweep(
-        &s.space,
-        &s.oracle,
-        &s.lut,
-        &s.device,
-        &LAMBDAS,
-        SearchConfig::fast(),
-        0xfa57,
-    );
-    set_kernel_mode(KernelMode::Strict);
-    points
+    let ctx = KernelCtx {
+        mode,
+        ..KernelCtx::current()
+    };
+    ctx.scope(|| {
+        lambda_sweep(
+            &s.space,
+            &s.oracle,
+            &s.lut,
+            &s.device,
+            &LAMBDAS,
+            SearchConfig::fast(),
+            0xfa57,
+        )
+    })
 }
 
 /// Indices of `points` sorted by `key`, ties broken by index (stable).
